@@ -1,3 +1,7 @@
+// A binary root: printing to the terminal is its job (the workspace
+// table denies it in library code).
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 //! `axqa` — command-line front end for TreeSketch approximate answering.
 //!
 //! ```text

@@ -1,12 +1,14 @@
 // Count-carrying crate (ISSUE 1; DESIGN.md "Static analysis & invariants"):
-// lossy casts and unchecked arithmetic on element/edge counts are denied
-// outside tests, on top of the workspace lint table.
+// lossy casts and unchecked arithmetic on element/edge counts, and exact
+// float equality, are denied outside tests, on top of the workspace lint
+// table.
 #![cfg_attr(
     not(test),
     deny(
         clippy::cast_possible_truncation,
         clippy::cast_sign_loss,
-        clippy::arithmetic_side_effects
+        clippy::arithmetic_side_effects,
+        clippy::float_cmp
     )
 )]
 #![cfg_attr(

@@ -1,3 +1,7 @@
+// A binary root: printing to the terminal is its job (the workspace
+// table denies it in library code).
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 //! `harness` — regenerate the paper's tables and figures.
 //!
 //! ```text
@@ -36,7 +40,7 @@
 //!
 //! All argument errors flow back to `main` as `Err(message)` and exit
 //! with status 2 (usage); the process never calls `std::process::exit`
-//! (forbidden-api rule — destructors must run).
+//! (banned in clippy.toml — destructors must run).
 
 use axqa_harness::experiments::{
     ablation_topdown, family, fig11, fig12, fig13, negative, table1, table2, table3, values,
@@ -86,7 +90,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             ", no xsketch"
         },
     );
-    let started = std::time::Instant::now();
+    let started = axqa_obs::Stopwatch::start();
     // Only pay for recording when an output was requested; without the
     // flags every span/counter stays a relaxed-atomic branch.
     let recorder = obs.wants_recording().then(|| {
@@ -239,7 +243,7 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
     config
         .validate()
         .map_err(|message| format!("{message}\n{BENCH_USAGE}"))?;
-    let started = std::time::Instant::now();
+    let started = axqa_obs::Stopwatch::start();
     let report = axqa_harness::bench::run_baseline(&config);
     print!("{}", report.render());
     report

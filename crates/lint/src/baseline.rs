@@ -290,12 +290,10 @@ fn parse_string(value: &str, lineno: usize) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Severity;
 
     fn finding(rule: &'static str, file: &str, line: u32) -> Finding {
         Finding {
             rule,
-            severity: Severity::Error,
             file: file.to_string(),
             line,
             span: (0, 0),
@@ -307,7 +305,7 @@ mod tests {
     fn parse_render_round_trip() {
         let baseline = Baseline {
             allows: vec![Allow {
-                rule: "no-unwrap".to_string(),
+                rule: "dead-pub".to_string(),
                 file: "crates/harness/src/bench.rs".to_string(),
                 count: 2,
             }],
@@ -321,16 +319,16 @@ mod tests {
     fn overflow_beyond_allowance_is_new() {
         let baseline = Baseline {
             allows: vec![Allow {
-                rule: "no-unwrap".to_string(),
+                rule: "dead-pub".to_string(),
                 file: "a.rs".to_string(),
                 count: 1,
             }],
             alloc_ok: Vec::new(),
         };
         let findings = vec![
-            finding("no-unwrap", "a.rs", 3),
-            finding("no-unwrap", "a.rs", 9),
-            finding("count-cast", "a.rs", 4),
+            finding("dead-pub", "a.rs", 3),
+            finding("dead-pub", "a.rs", 9),
+            finding("paper-doc", "a.rs", 4),
         ];
         let applied = baseline.apply(&findings);
         assert_eq!(applied.baselined, vec![true, false, false]);
@@ -341,8 +339,8 @@ mod tests {
     fn fixed_violations_make_entries_stale() {
         let baseline = Baseline {
             allows: vec![Allow {
-                rule: "float-eq".to_string(),
-                file: "crates/distance/src/lib.rs".to_string(),
+                rule: "hashmap-iter-order".to_string(),
+                file: "crates/xsketch/src/build.rs".to_string(),
                 count: 3,
             }],
             alloc_ok: Vec::new(),
@@ -355,21 +353,21 @@ mod tests {
     #[test]
     fn from_findings_groups_and_sorts() {
         let findings = vec![
-            finding("no-unwrap", "b.rs", 1),
-            finding("no-unwrap", "a.rs", 2),
-            finding("no-unwrap", "a.rs", 7),
+            finding("dead-pub", "b.rs", 1),
+            finding("dead-pub", "a.rs", 2),
+            finding("dead-pub", "a.rs", 7),
         ];
         let baseline = Baseline::from_findings(&findings);
         assert_eq!(
             baseline.allows,
             vec![
                 Allow {
-                    rule: "no-unwrap".into(),
+                    rule: "dead-pub".into(),
                     file: "a.rs".into(),
                     count: 2
                 },
                 Allow {
-                    rule: "no-unwrap".into(),
+                    rule: "dead-pub".into(),
                     file: "b.rs".into(),
                     count: 1
                 },

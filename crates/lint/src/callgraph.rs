@@ -38,19 +38,6 @@ pub enum PanicKind {
     Index,
 }
 
-impl PanicKind {
-    /// Short human name for findings and snapshot messages.
-    pub fn name(self) -> &'static str {
-        match self {
-            PanicKind::Macro => "panic-macro",
-            PanicKind::Assert => "assert",
-            PanicKind::Unwrap => "unwrap",
-            PanicKind::Expect => "expect",
-            PanicKind::Index => "indexing",
-        }
-    }
-}
-
 /// One direct panic site inside a function body.
 #[derive(Debug, Clone, Copy)]
 pub struct PanicSite {

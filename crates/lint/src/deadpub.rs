@@ -21,7 +21,7 @@
 
 use crate::parse::Visibility;
 use crate::token::TokenKind;
-use crate::{Finding, Rule, Scope, Severity, Workspace};
+use crate::{Finding, Rule, Scope, Workspace};
 
 /// Reports plain-`pub` fns with no callers and no textual references.
 pub struct DeadPub;
@@ -105,7 +105,6 @@ impl Rule for DeadPub {
             let item = &graph.items[i];
             findings.push(Finding {
                 rule: self.id(),
-                severity: Severity::Error,
                 file: item.file.clone(),
                 line: item.line,
                 span: (0, 0),

@@ -13,9 +13,8 @@
 //!   collect-then-sort idiom (`let mut v = m.iter().collect(); v.sort…`).
 //! * `float-total-order` — `f64`/`f32` comparisons that depend on the
 //!   IEEE partial order: `.partial_cmp(…)` anywhere (use `total_cmp`),
-//!   and `==`/`!=` against identifiers declared with a float type
-//!   (generalizing the literal-adjacent `float-eq` rule across
-//!   statement boundaries).
+//!   and `==`/`!=` against identifiers declared with a float type,
+//!   including `x == 0.0` (which clippy's `float_cmp` allows).
 //!
 //! Both are statement-granularity approximations over the token
 //! stream, not a type checker: identifiers are classified by local
@@ -96,7 +95,6 @@ fn in_scope(file: &SourceFile) -> bool {
 fn finding(rule: &'static str, file: &SourceFile, token: &Token, message: String) -> Finding {
     Finding {
         rule,
-        severity: crate::Severity::Error,
         file: file.rel.clone(),
         line: token.line,
         span: (token.start, token.end),

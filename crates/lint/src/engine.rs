@@ -9,9 +9,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::baseline::{Allow, Baseline, BASELINE_PATH};
-use crate::{
-    api_surface, hotpath, reach, registry, Finding, Scope, Severity, SourceFile, Workspace,
-};
+use crate::{api_surface, hotpath, reach, registry, Finding, Scope, SourceFile, Workspace};
 
 /// What `run` should rewrite on disk besides checking.
 #[derive(Debug, Clone, Copy, Default)]
@@ -38,8 +36,8 @@ pub struct Outcome {
     pub stale: Vec<Allow>,
     /// How many source files were tokenized and checked.
     pub files_scanned: usize,
-    /// `(id, severity, description)` of every registered rule.
-    pub rules: Vec<(&'static str, Severity, &'static str)>,
+    /// `(id, description)` of every registered rule.
+    pub rules: Vec<(&'static str, &'static str)>,
     /// True when `--update-baseline` rewrote the baseline file.
     pub wrote_baseline: bool,
     /// True when `--update-api-surface` rewrote the snapshot.
@@ -56,12 +54,9 @@ impl Outcome {
         self.baselined.iter().filter(|b| !**b).count()
     }
 
-    /// The gate passes when every error-severity finding is baselined.
+    /// The gate passes when every finding is baselined.
     pub fn gate_passes(&self) -> bool {
-        self.findings
-            .iter()
-            .zip(&self.baselined)
-            .all(|(f, covered)| *covered || f.severity != Severity::Error)
+        self.new_findings() == 0
     }
 }
 
@@ -170,10 +165,7 @@ pub fn run(root: &Path, update: UpdateFlags) -> Result<Outcome, String> {
     let applied = baseline.apply(&findings);
     Ok(Outcome {
         files_scanned: workspace.files.len(),
-        rules: rules
-            .iter()
-            .map(|r| (r.id(), r.severity(), r.describe()))
-            .collect(),
+        rules: rules.iter().map(|r| (r.id(), r.describe())).collect(),
         findings,
         baselined: applied.baselined,
         stale: applied.stale,
@@ -409,11 +401,10 @@ pub fn render_json(outcome: &Outcome) -> String {
     ));
 
     out.push_str("  \"rules\": [\n");
-    for (i, (id, severity, describe)) in outcome.rules.iter().enumerate() {
+    for (i, (id, describe)) in outcome.rules.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"id\": {}, \"severity\": {}, \"description\": {}}}{}\n",
+            "    {{\"id\": {}, \"severity\": \"error\", \"description\": {}}}{}\n",
             json_string(id),
-            json_string(severity.name()),
             json_string(describe),
             if i.saturating_add(1) < outcome.rules.len() {
                 ","
@@ -428,10 +419,9 @@ pub fn render_json(outcome: &Outcome) -> String {
     let total = outcome.findings.len();
     for (i, (finding, covered)) in outcome.findings.iter().zip(&outcome.baselined).enumerate() {
         out.push_str(&format!(
-            "    {{\"rule\": {}, \"severity\": {}, \"file\": {}, \"line\": {}, \
+            "    {{\"rule\": {}, \"severity\": \"error\", \"file\": {}, \"line\": {}, \
              \"span\": [{}, {}], \"message\": {}, \"baselined\": {}}}{}\n",
             json_string(finding.rule),
-            json_string(finding.severity.name()),
             json_string(&finding.file),
             finding.line,
             finding.span.0,
@@ -523,7 +513,7 @@ proptest.workspace = true
             baselined,
             stale: Vec::new(),
             files_scanned: 1,
-            rules: vec![("no-unwrap", Severity::Error, "no unwraps")],
+            rules: vec![("paper-doc", "paper anchors")],
             wrote_baseline: false,
             wrote_api_surface: false,
             wrote_panic_surface: false,
@@ -533,12 +523,11 @@ proptest.workspace = true
 
     fn sample_finding() -> Finding {
         Finding {
-            rule: "no-unwrap",
-            severity: Severity::Error,
+            rule: "paper-doc",
             file: "crates/core/src/build.rs".to_string(),
             line: 12,
             span: (100, 109),
-            message: "`.unwrap()` in non-test code".to_string(),
+            message: "pub fn without a paper citation (§ or Fig.) in its doc comment".to_string(),
         }
     }
 

@@ -39,7 +39,7 @@
 use crate::allocsite::{self, AllocSite};
 use crate::baseline::BASELINE_PATH;
 use crate::reach::SurfaceLine;
-use crate::{Finding, Rule, Scope, Severity, Workspace};
+use crate::{Finding, Rule, Scope, Workspace};
 
 /// Path of the committed hot-roots config, relative to the workspace
 /// root.
@@ -439,7 +439,6 @@ impl Rule for HotPathAlloc {
         let Some(config_text) = &workspace.hot_paths else {
             findings.push(Finding {
                 rule: self.id(),
-                severity: Severity::Error,
                 file: CONFIG_PATH.to_string(),
                 line: 0,
                 span: (0, 0),
@@ -455,7 +454,6 @@ impl Rule for HotPathAlloc {
             Err(message) => {
                 findings.push(Finding {
                     rule: self.id(),
-                    severity: Severity::Error,
                     file: CONFIG_PATH.to_string(),
                     line: 0,
                     span: (0, 0),
@@ -471,7 +469,6 @@ impl Rule for HotPathAlloc {
             if items.is_empty() {
                 findings.push(Finding {
                     rule: self.id(),
-                    severity: Severity::Error,
                     file: CONFIG_PATH.to_string(),
                     line: 0,
                     span: (0, 0),
@@ -500,7 +497,6 @@ impl Rule for HotPathAlloc {
                     }
                     findings.push(Finding {
                         rule: self.id(),
-                        severity: Severity::Error,
                         file: item.file.clone(),
                         line: item.line,
                         span: (0, 0),
@@ -520,7 +516,6 @@ impl Rule for HotPathAlloc {
                         .unwrap_or_else(|| "an opaque callee".to_string());
                     findings.push(Finding {
                         rule: self.id(),
-                        severity: Severity::Error,
                         file: item.file.clone(),
                         line: item.line,
                         span: (0, 0),
@@ -538,7 +533,6 @@ impl Rule for HotPathAlloc {
             if used < grant.count {
                 findings.push(Finding {
                     rule: self.id(),
-                    severity: Severity::Error,
                     file: BASELINE_PATH.to_string(),
                     line: 0,
                     span: (0, 0),
@@ -579,7 +573,6 @@ impl Rule for AllocSurface {
         let Some(snapshot_text) = &workspace.alloc_surface_snapshot else {
             findings.push(Finding {
                 rule: self.id(),
-                severity: Severity::Error,
                 file: SNAPSHOT_PATH.to_string(),
                 line: 0,
                 span: (0, 0),
@@ -606,7 +599,6 @@ impl Rule for AllocSurface {
                 };
                 findings.push(Finding {
                     rule: self.id(),
-                    severity: Severity::Error,
                     file: line.file.clone(),
                     line: (*item_line).max(1),
                     span: (0, 0),
@@ -627,7 +619,6 @@ impl Rule for AllocSurface {
             }
             findings.push(Finding {
                 rule: self.id(),
-                severity: Severity::Error,
                 file: line.file.clone(),
                 line: 0,
                 span: (0, 0),

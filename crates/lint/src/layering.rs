@@ -8,7 +8,7 @@
 //! because tests may legitimately reach upward for fixtures and cargo
 //! rejects build-breaking dev cycles itself.
 
-use crate::{Finding, Rule, Scope, Severity, Workspace};
+use crate::{Finding, Rule, Scope, Workspace};
 
 /// The declared layer of every workspace package. An edge `A → B` is
 /// legal only when `layer(A) > layer(B)`; a package missing from this
@@ -65,7 +65,6 @@ pub fn check_edges(
         let Some(from_layer) = layer_of(package) else {
             findings.push(Finding {
                 rule: "crate-layering",
-                severity: Severity::Error,
                 file: manifest(package),
                 line: 0,
                 span: (0, 0),
@@ -83,7 +82,6 @@ pub fn check_edges(
             if from_layer <= to_layer {
                 findings.push(Finding {
                     rule: "crate-layering",
-                    severity: Severity::Error,
                     file: manifest(package),
                     line: 0,
                     span: (0, 0),
@@ -100,7 +98,6 @@ pub fn check_edges(
     for cycle in find_cycles(edges) {
         findings.push(Finding {
             rule: "crate-layering",
-            severity: Severity::Error,
             file: manifest(&cycle[0]),
             line: 0,
             span: (0, 0),

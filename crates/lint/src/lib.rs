@@ -2,13 +2,16 @@
 
 //! # axqa-lint — the repository's static-analysis engine
 //!
-//! `cargo xtask lint` grew out of a line-oriented script (PR 1) into
-//! this crate: a token-level linter with a rule registry,
-//! workspace-scope rules (crate layering, public-API surface snapshot,
-//! panic-reachability surface), call-graph analyses over a lightweight
-//! fn-item parser, determinism dataflow rules, a ratcheting baseline,
-//! and SARIF 2.1.0 export. See DESIGN.md §8 and §10 for the
-//! architecture.
+//! `cargo xtask lint` runs the nine analyses that clippy cannot make:
+//! a paper-citation rule, workspace-scope rules (crate layering,
+//! public-API surface snapshot), call-graph analyses over a lightweight
+//! fn-item parser (panic and allocation reachability, dead `pub` fns),
+//! and determinism dataflow rules, plus a ratcheting baseline and
+//! SARIF 2.1.0 export. Bans that clippy can enforce with type
+//! information (unwraps, lossy casts, `# Panics` docs, printing, raw
+//! clocks, `process::exit`, the system allocator, float equality) live
+//! in the workspace lint table and `clippy.toml` instead. See DESIGN.md
+//! §8 and §10 for the architecture.
 //!
 //! The engine is deterministic and nearly dependency-free — its one
 //! dependency is the layer-0 `axqa-obs` facade, so the lint phases
@@ -20,17 +23,16 @@
 //!   literals, comments) and masks `#[cfg(test)]` regions on tokens,
 //!   so rules neither miss violations split across lines nor
 //!   false-positive inside string literals;
-//! * [`rules`] holds the per-file rules, each a type implementing
-//!   [`Rule`];
+//! * [`rules`] holds the per-file `paper-doc` rule (a type
+//!   implementing [`Rule`]);
 //! * [`parse`] extracts per-file [`parse::FnItem`]s (qualified path,
 //!   visibility, `# Panics` docs, body token range) from the token
 //!   stream;
 //! * [`callgraph`] builds the intra-workspace call graph
 //!   (suffix-qualified name resolution, conservative method calls) and
 //!   collects direct panic sites;
-//! * [`reach`] runs the panic-reachability fixpoint, ratchets the
-//!   public classification against `lint/panic-surface.txt`, and
-//!   enforces `# Panics` docs on directly panicking public fns;
+//! * [`reach`] runs the panic-reachability fixpoint and ratchets the
+//!   public classification against `lint/panic-surface.txt`;
 //! * [`allocsite`] detects direct allocation sites (constructors on
 //!   heap-owning types, owned-result methods, growth calls, and
 //!   macro-opaque invocations) in function bodies;
@@ -74,35 +76,12 @@ use std::cell::OnceCell;
 
 use token::Token;
 
-/// How bad a finding is. Everything shipped today is [`Severity::Error`];
-/// the distinction exists so future advisory rules can surface without
-/// failing the gate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Severity {
-    /// Reported, never fails the gate.
-    Warning,
-    /// Fails the gate unless baselined.
-    Error,
-}
-
-impl Severity {
-    /// Stable lowercase name used in the JSON output.
-    pub fn name(self) -> &'static str {
-        match self {
-            Severity::Warning => "warning",
-            Severity::Error => "error",
-        }
-    }
-}
-
 /// One rule violation, structured so it can render as text or JSON and
 /// be matched against the baseline.
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Rule id (stable, kebab-case).
     pub rule: &'static str,
-    /// Severity of the owning rule.
-    pub severity: Severity,
     /// Workspace-relative path with forward slashes.
     pub file: String,
     /// 1-based line (0 when the finding has no line, e.g. a removed
@@ -197,7 +176,8 @@ impl Workspace {
     }
 }
 
-/// A lint rule: an id, a severity, a scope, and a checker.
+/// A lint rule: an id, a scope, and a checker. Every finding fails
+/// the gate unless the baseline grandfathers it.
 ///
 /// Per-file rules implement [`Rule::check_file`]; workspace rules
 /// implement [`Rule::check_workspace`]. The engine owns iteration
@@ -207,10 +187,6 @@ pub trait Rule {
     fn id(&self) -> &'static str;
     /// One-line description for `--format json` and docs.
     fn describe(&self) -> &'static str;
-    /// Severity of this rule's findings.
-    fn severity(&self) -> Severity {
-        Severity::Error
-    }
     /// Per-file or workspace scope.
     fn scope(&self) -> Scope {
         Scope::File
@@ -224,17 +200,12 @@ pub trait Rule {
 /// The registry: every rule the engine runs, in reporting order.
 pub fn registry() -> Vec<Box<dyn Rule>> {
     vec![
-        Box::new(rules::CountCast),
-        Box::new(rules::FloatEq),
         Box::new(rules::PaperDoc),
-        Box::new(rules::NoUnwrap),
-        Box::new(rules::ForbiddenApi),
         Box::new(determinism::HashMapIterOrder),
         Box::new(determinism::FloatTotalOrder),
         Box::new(layering::CrateLayering),
         Box::new(api_surface::ApiSurface),
         Box::new(reach::PanicSurface),
-        Box::new(reach::PanicDoc),
         Box::new(hotpath::HotPathAlloc),
         Box::new(hotpath::AllocSurface),
         Box::new(deadpub::DeadPub),

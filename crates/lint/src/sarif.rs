@@ -19,17 +19,9 @@
 //!   ratchet's text/JSON semantics.
 
 use crate::engine::{json_string, Outcome};
-use crate::Severity;
 
 /// The schema URI embedded in every log.
 pub const SCHEMA_URI: &str = "https://json.schemastore.org/sarif-2.1.0.json";
-
-fn level(severity: Severity) -> &'static str {
-    match severity {
-        Severity::Warning => "warning",
-        Severity::Error => "error",
-    }
-}
 
 /// Renders an [`Outcome`] as a SARIF 2.1.0 log.
 pub fn render_sarif(outcome: &Outcome) -> String {
@@ -43,13 +35,12 @@ pub fn render_sarif(outcome: &Outcome) -> String {
     out.push_str("          \"informationUri\": \"https://github.com/axqa/axqa\",\n");
     out.push_str("          \"rules\": [\n");
     let rule_count = outcome.rules.len();
-    for (i, (id, severity, describe)) in outcome.rules.iter().enumerate() {
+    for (i, (id, describe)) in outcome.rules.iter().enumerate() {
         out.push_str(&format!(
             "            {{\"id\": {}, \"shortDescription\": {{\"text\": {}}}, \
-             \"defaultConfiguration\": {{\"level\": {}}}}}{}\n",
+             \"defaultConfiguration\": {{\"level\": \"error\"}}}}{}\n",
             json_string(id),
             json_string(describe),
-            json_string(level(*severity)),
             if i.saturating_add(1) < rule_count {
                 ","
             } else {
@@ -65,7 +56,7 @@ pub fn render_sarif(outcome: &Outcome) -> String {
         let rule_index = outcome
             .rules
             .iter()
-            .position(|(id, _, _)| *id == finding.rule)
+            .position(|(id, _)| *id == finding.rule)
             .unwrap_or(0);
         let region = if finding.line > 0 {
             format!(", \"region\": {{\"startLine\": {}}}", finding.line)
@@ -78,11 +69,10 @@ pub fn render_sarif(outcome: &Outcome) -> String {
             ""
         };
         out.push_str(&format!(
-            "        {{\"ruleId\": {}, \"ruleIndex\": {rule_index}, \"level\": {}, \
+            "        {{\"ruleId\": {}, \"ruleIndex\": {rule_index}, \"level\": \"error\", \
              \"message\": {{\"text\": {}}}, \"locations\": [{{\"physicalLocation\": \
              {{\"artifactLocation\": {{\"uri\": {}}}{region}}}}}]{suppressions}}}{}\n",
             json_string(finding.rule),
-            json_string(level(finding.severity)),
             json_string(&finding.message),
             json_string(&finding.file),
             if i.saturating_add(1) < total { "," } else { "" }
@@ -104,8 +94,8 @@ mod tests {
             stale: Vec::new(),
             files_scanned: 2,
             rules: vec![
-                ("no-unwrap", Severity::Error, "no unwraps"),
-                ("paper-doc", Severity::Error, "paper anchors"),
+                ("dead-pub", "no dead pub fns"),
+                ("paper-doc", "paper anchors"),
             ],
             wrote_baseline: false,
             wrote_api_surface: false,
@@ -117,7 +107,6 @@ mod tests {
     fn sample(rule: &'static str, line: u32) -> Finding {
         Finding {
             rule,
-            severity: Severity::Error,
             file: "crates/core/src/build.rs".to_string(),
             line,
             span: (0, 0),
@@ -130,7 +119,7 @@ mod tests {
         let sarif = render_sarif(&outcome(Vec::new(), Vec::new()));
         assert!(sarif.contains("\"$schema\": \"https://json.schemastore.org/sarif-2.1.0.json\""));
         assert!(sarif.contains("\"version\": \"2.1.0\""));
-        assert!(sarif.contains("\"id\": \"no-unwrap\""));
+        assert!(sarif.contains("\"id\": \"dead-pub\""));
         assert!(sarif.contains("\"level\": \"error\""));
     }
 
@@ -146,7 +135,7 @@ mod tests {
 
     #[test]
     fn baselined_findings_are_suppressed_and_zero_line_omits_region() {
-        let sarif = render_sarif(&outcome(vec![sample("no-unwrap", 0)], vec![true]));
+        let sarif = render_sarif(&outcome(vec![sample("dead-pub", 0)], vec![true]));
         assert!(sarif.contains("\"suppressions\": [{\"kind\": \"external\"}]"));
         assert!(!sarif.contains("startLine"));
     }

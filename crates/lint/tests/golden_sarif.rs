@@ -10,7 +10,7 @@
 
 use axqa_lint::engine::Outcome;
 use axqa_lint::sarif::render_sarif;
-use axqa_lint::{Finding, Severity};
+use axqa_lint::Finding;
 
 /// A hand-built outcome: the allocation-analysis rules plus the
 /// original trio, and four findings — a fresh error with a line, a
@@ -21,17 +21,15 @@ fn fixture() -> Outcome {
     Outcome {
         findings: vec![
             Finding {
-                rule: "no-unwrap",
-                severity: Severity::Error,
+                rule: "paper-doc",
                 file: "crates/core/src/build.rs".to_string(),
                 line: 42,
-                span: (1000, 1009),
-                message: "`.unwrap(…)` in non-test code (return an error or match explicitly)"
+                span: (1000, 1003),
+                message: "pub fn without a paper citation (§ or Fig.) in its doc comment"
                     .to_string(),
             },
             Finding {
                 rule: "hot-path-alloc",
-                severity: Severity::Error,
                 file: "crates/core/src/cluster.rs".to_string(),
                 line: 409,
                 span: (0, 0),
@@ -42,7 +40,6 @@ fn fixture() -> Outcome {
             },
             Finding {
                 rule: "hashmap-iter-order",
-                severity: Severity::Error,
                 file: "crates/xsketch/src/build.rs".to_string(),
                 line: 216,
                 span: (0, 0),
@@ -51,7 +48,6 @@ fn fixture() -> Outcome {
             },
             Finding {
                 rule: "api-surface",
-                severity: Severity::Error,
                 file: "crates/core/src/eval.rs".to_string(),
                 line: 0,
                 span: (0, 0),
@@ -63,33 +59,27 @@ fn fixture() -> Outcome {
         files_scanned: 77,
         rules: vec![
             (
-                "no-unwrap",
-                Severity::Error,
-                "no `.unwrap()`, `.expect(…)` or `.unwrap_unchecked()` outside #[cfg(test)]",
+                "paper-doc",
+                "pub fns in core/src/{build,eval}.rs cite the paper (§ or Fig.) in their doc comment",
             ),
             (
                 "hashmap-iter-order",
-                Severity::Error,
                 "no order-dependent FxHashMap/HashMap iteration in deterministic-path crates",
             ),
             (
                 "api-surface",
-                Severity::Error,
                 "public API matches lint/api-surface.txt",
             ),
             (
                 "hot-path-alloc",
-                Severity::Error,
                 "no ungranted allocation reachable from the hot roots in lint/hot-paths.toml",
             ),
             (
                 "alloc-surface",
-                Severity::Error,
                 "hot-cone allocation classification matches lint/alloc-surface.txt",
             ),
             (
                 "dead-pub",
-                Severity::Error,
                 "no plain-pub fn with zero intra-workspace callers and no textual reference",
             ),
         ],
@@ -127,7 +117,7 @@ fn sarif_shape_is_well_formed() {
     ));
     // Every registered rule appears in the driver metadata.
     for id in [
-        "no-unwrap",
+        "paper-doc",
         "hashmap-iter-order",
         "api-surface",
         "hot-path-alloc",

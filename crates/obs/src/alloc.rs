@@ -19,10 +19,11 @@
 //! outside the recorder's `RefCell` buffers precisely so the allocator
 //! can run *inside* recorder bookkeeping without re-borrowing).
 //!
-//! The `forbidden-api` lint rule bans `std::alloc`/`GlobalAlloc` in
-//! every other crate, so this module stays the single point where
-//! allocation accounting can be installed or bypassed.
-#![allow(unsafe_code)]
+//! clippy.toml bans `std::alloc::System` and the workspace lint table
+//! forbids `unsafe_code` in every other crate, so this module stays the
+//! single point where allocation accounting can be installed or
+//! bypassed.
+#![allow(unsafe_code, clippy::disallowed_types)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

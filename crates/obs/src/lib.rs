@@ -41,14 +41,15 @@
 //! assert!(trace.contains("\"ph\": \"B\""));
 //! ```
 //!
-//! This crate is the workspace's single monotonic-clock authority: the
-//! `forbidden-api` lint rule bans raw `Instant::now`/`SystemTime::now`
-//! in every other library crate, which route wall-clock timing through
-//! [`Stopwatch`] instead. It is also the single allocation-accounting
-//! authority: binaries install [`alloc::CountingAlloc`] as the global
-//! allocator (`std::alloc`/`GlobalAlloc` are lint-banned elsewhere),
-//! and every span then carries the allocation count / bytes /
-//! peak-live delta of the work it timed — see [`SpanRecord`] and
+//! This crate is the workspace's single monotonic-clock authority:
+//! clippy.toml bans raw `Instant::now`/`SystemTime::now` everywhere else,
+//! and other crates route wall-clock timing through [`Stopwatch`]
+//! instead. It is also the single allocation-accounting authority:
+//! binaries install [`alloc::CountingAlloc`] as the global allocator
+//! (`std::alloc::System` is banned elsewhere, and `unsafe_code =
+//! "forbid"` rules out another `GlobalAlloc` impl), and every span then
+//! carries the allocation count / bytes / peak-live delta of the work it
+//! timed — see [`SpanRecord`] and
 //! DESIGN.md §12.
 
 pub mod alloc;
@@ -120,9 +121,9 @@ pub fn flush() {
     recorder::flush_current_thread();
 }
 
-/// Monotonic stopwatch — the sanctioned wall-clock timing primitive for
-/// library crates (the `forbidden-api` rule bans raw `Instant::now`
-/// outside this crate so all timing flows through the recorder's clock).
+/// Monotonic stopwatch — the sanctioned wall-clock timing primitive
+/// (clippy.toml bans raw `Instant::now` outside this crate so all timing
+/// flows through the recorder's clock).
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
     started: Instant,
@@ -130,6 +131,7 @@ pub struct Stopwatch {
 
 impl Stopwatch {
     /// Starts timing now.
+    #[allow(clippy::disallowed_methods)] // this crate owns the clock
     pub fn start() -> Stopwatch {
         Stopwatch {
             started: Instant::now(),

@@ -57,6 +57,7 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 
 /// The process-wide monotonic epoch: fixed at the first observability
 /// call, shared by every thread so timestamps are comparable.
+#[allow(clippy::disallowed_methods)] // this crate owns the clock
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     *EPOCH.get_or_init(Instant::now)

@@ -7,7 +7,7 @@
 //! tag string. Anything structurally ill-formed is an [`XmlError`].
 
 use crate::error::XmlError;
-use crate::tree::{Document, DocumentBuilder, NodeId};
+use crate::tree::{Document, DocumentBuilder};
 
 /// Parses `input` into a [`Document`] holding the element structure.
 ///
@@ -198,13 +198,6 @@ fn find_gt(input: &str, from: usize) -> Result<usize, XmlError> {
         pos += 1;
     }
     Err(XmlError::UnexpectedEof { open_tag: None })
-}
-
-/// Convenience: parse and return the root id alongside the document.
-pub fn parse_with_root(input: &str) -> Result<(Document, NodeId), XmlError> {
-    let doc = parse_document(input)?;
-    let root = doc.root();
-    Ok((doc, root))
 }
 
 #[cfg(test)]

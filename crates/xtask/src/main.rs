@@ -1,13 +1,16 @@
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+// A binary root: printing to the terminal is its job (the workspace
+// table denies it in library code).
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 //! `cargo xtask` — repository automation.
 //!
 //! The only subcommand is `lint`, a thin CLI over the [`axqa_lint`]
-//! engine (DESIGN.md §8 and §10): token-level per-file rules, the
-//! call-graph analyses (panic-reachability surface, determinism
-//! dataflow), workspace rules (crate layering, API-surface snapshot),
+//! engine (DESIGN.md §8 and §10): the nine analyses clippy cannot make
+//! (paper citations, determinism dataflow, crate layering, the API,
+//! panic and allocation surfaces, hot-path allocation, dead `pub` fns)
 //! and the `lint-baseline.toml` ratchet. The process exits nonzero
-//! when any non-baselined error-severity finding remains.
+//! when any non-baselined finding remains.
 //!
 //! ```text
 //! cargo xtask lint [--format text|json|sarif] [--out PATH] [--sarif PATH]

@@ -1,10 +1,12 @@
-// Examples/integration tests are demo code: panicking extractors are fine.
+// Examples/integration tests are demo code: panicking extractors and
+// printing are fine.
 #![allow(
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::arithmetic_side_effects
+    clippy::arithmetic_side_effects,
+    clippy::print_stdout
 )]
 
 //! The paper's motivating scenario (§1): interactive exploration of a
@@ -21,7 +23,7 @@
 //! answer and the time both took.
 
 use axqa::prelude::*;
-use std::time::Instant;
+use axqa_obs::Stopwatch;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A mid-size XMark-style auction document.
@@ -41,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Offline: build the synopsis once.
-    let t = Instant::now();
+    let t = Stopwatch::start();
     let stable = build_stable(&doc);
     let sketch = ts_build(&stable, &BuildConfig::with_budget(10 * 1024)).sketch;
     println!(
@@ -77,14 +79,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     for (title, twig) in session {
         let query = parse_twig(twig)?;
-        let t = Instant::now();
+        let t = Stopwatch::start();
         let estimate = axqa::core::selectivity::estimate_query_selectivity(
             &sketch,
             &query,
             &EvalConfig::default(),
         );
         let preview_time = t.elapsed();
-        let t = Instant::now();
+        let t = Stopwatch::start();
         let exact = selectivity(&doc, &index, &query);
         let exact_time = t.elapsed();
         println!("query: {title}");

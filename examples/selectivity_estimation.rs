@@ -1,10 +1,12 @@
-// Examples/integration tests are demo code: panicking extractors are fine.
+// Examples/integration tests are demo code: panicking extractors and
+// printing are fine.
 #![allow(
     clippy::unwrap_used,
     clippy::expect_used,
     clippy::cast_possible_truncation,
     clippy::cast_sign_loss,
-    clippy::arithmetic_side_effects
+    clippy::arithmetic_side_effects,
+    clippy::print_stdout
 )]
 
 //! Selectivity estimation for query optimization (§4.4): compare

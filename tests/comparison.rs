@@ -160,10 +160,10 @@ fn construction_is_cheaper_for_treesketch() {
     })
     .collect();
 
-    let start = std::time::Instant::now();
+    let start = axqa_obs::Stopwatch::start();
     let _ = ts_build(&stable, &BuildConfig::with_budget(8 * 1024));
     let ts_time = start.elapsed();
-    let start = std::time::Instant::now();
+    let start = axqa_obs::Stopwatch::start();
     let _ = build_xsketch(
         &stable,
         &build_queries,
