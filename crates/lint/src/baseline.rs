@@ -72,68 +72,35 @@ impl Baseline {
     /// malformed lines are hard errors — a silently misread baseline
     /// would un-gate CI.
     pub fn parse(text: &str) -> Result<Baseline, String> {
+        const SCHEMA: &[(&str, &[&str])] = &[
+            ("allow", &["rule", "file", "count"]),
+            ("alloc-ok", &["path", "what", "count", "reason"]),
+        ];
         let mut baseline = Baseline::default();
-        let mut current: Option<Entry> = None;
-        for (idx, raw) in text.lines().enumerate() {
-            let lineno = idx.saturating_add(1);
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            if line == "[[allow]]" || line == "[[alloc-ok]]" {
-                finish_entry(&mut current, &mut baseline, lineno)?;
-                current = Some(if line == "[[allow]]" {
-                    Entry::Allow(Default::default())
-                } else {
-                    Entry::AllocOk(Default::default())
+        for table in read_tables(text, BASELINE_PATH, SCHEMA)? {
+            if table.name == "allow" {
+                baseline.allows.push(Allow {
+                    rule: table.string("rule")?,
+                    file: table.string("file")?,
+                    count: table.count("count")?,
                 });
                 continue;
             }
-            if line.starts_with('[') {
+            let reason = table.string("reason")?;
+            if reason.trim().is_empty() {
                 return Err(format!(
-                    "{BASELINE_PATH}:{lineno}: unknown table `{line}` (expected [[allow]] or \
-                     [[alloc-ok]])"
+                    "{BASELINE_PATH}:{}: [[alloc-ok]] `reason` must be non-empty — every grant \
+                     documents why the allocation is deliberate",
+                    table.line
                 ));
             }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(format!("{BASELINE_PATH}:{lineno}: expected `key = value`"));
-            };
-            let entry = current
-                .as_mut()
-                .ok_or_else(|| format!("{BASELINE_PATH}:{lineno}: key outside a table"))?;
-            let key = key.trim();
-            let value = value.trim();
-            let count = |value: &str| {
-                value.parse::<usize>().map_err(|_| {
-                    format!("{BASELINE_PATH}:{lineno}: `count` must be a non-negative integer")
-                })
-            };
-            match entry {
-                Entry::Allow(fields) => match key {
-                    "rule" => fields.0 = Some(parse_string(value, lineno)?),
-                    "file" => fields.1 = Some(parse_string(value, lineno)?),
-                    "count" => fields.2 = Some(count(value)?),
-                    other => {
-                        return Err(format!(
-                            "{BASELINE_PATH}:{lineno}: unknown [[allow]] key `{other}`"
-                        ));
-                    }
-                },
-                Entry::AllocOk(fields) => match key {
-                    "path" => fields.0 = Some(parse_string(value, lineno)?),
-                    "what" => fields.1 = Some(parse_string(value, lineno)?),
-                    "count" => fields.2 = Some(count(value)?),
-                    "reason" => fields.3 = Some(parse_string(value, lineno)?),
-                    other => {
-                        return Err(format!(
-                            "{BASELINE_PATH}:{lineno}: unknown [[alloc-ok]] key `{other}`"
-                        ));
-                    }
-                },
-            }
+            baseline.alloc_ok.push(AllocGrant {
+                path: table.string("path")?,
+                what: table.string("what")?,
+                count: table.count("count")?,
+                reason,
+            });
         }
-        let end = text.lines().count();
-        finish_entry(&mut current, &mut baseline, end)?;
         Ok(baseline)
     }
 
@@ -219,72 +186,113 @@ impl Baseline {
     }
 }
 
-/// An in-progress table during parsing.
-enum Entry {
-    /// `rule`, `file`, `count`.
-    Allow((Option<String>, Option<String>, Option<usize>)),
-    /// `path`, `what`, `count`, `reason`.
-    AllocOk(
-        (
-            Option<String>,
-            Option<String>,
-            Option<usize>,
-            Option<String>,
-        ),
-    ),
+/// One `[[name]]` table read by [`read_tables`].
+pub(crate) struct Table<'a> {
+    /// Table name, from the schema.
+    name: &'static str,
+    /// The keys the schema allows in this table.
+    keys: &'static [&'static str],
+    /// 1-based line of the `[[name]]` header.
+    line: usize,
+    /// File named in error messages.
+    file: &'static str,
+    /// `(key, raw value, line)` in file order; keys are unique.
+    pairs: Vec<(&'a str, &'a str, usize)>,
 }
 
-/// Validates and closes the in-progress table entry.
-fn finish_entry(
-    current: &mut Option<Entry>,
-    baseline: &mut Baseline,
-    lineno: usize,
-) -> Result<(), String> {
-    match current.take() {
-        None => {}
-        Some(Entry::Allow((rule, file, count))) => {
-            let missing =
-                |key: &str| format!("{BASELINE_PATH}:{lineno}: [[allow]] entry missing `{key}`");
-            baseline.allows.push(Allow {
-                rule: rule.ok_or_else(|| missing("rule"))?,
-                file: file.ok_or_else(|| missing("file"))?,
-                count: count.ok_or_else(|| missing("count"))?,
-            });
-        }
-        Some(Entry::AllocOk((path, what, count, reason))) => {
-            let missing =
-                |key: &str| format!("{BASELINE_PATH}:{lineno}: [[alloc-ok]] entry missing `{key}`");
-            let reason = reason.ok_or_else(|| missing("reason"))?;
-            if reason.trim().is_empty() {
-                return Err(format!(
-                    "{BASELINE_PATH}:{lineno}: [[alloc-ok]] `reason` must be non-empty — \
-                     every grant documents why the allocation is deliberate"
-                ));
-            }
-            baseline.alloc_ok.push(AllocGrant {
-                path: path.ok_or_else(|| missing("path"))?,
-                what: what.ok_or_else(|| missing("what"))?,
-                count: count.ok_or_else(|| missing("count"))?,
-                reason,
-            });
-        }
+impl Table<'_> {
+    /// The raw value of `key` and its line.
+    fn get(&self, key: &str) -> Result<(&str, usize), String> {
+        self.pairs
+            .iter()
+            .find(|(k, _, _)| *k == key)
+            .map(|&(_, value, line)| (value, line))
+            .ok_or_else(|| {
+                format!(
+                    "{}:{}: [[{}]] entry missing `{key}`",
+                    self.file, self.line, self.name
+                )
+            })
     }
-    Ok(())
+
+    /// `key` as a double-quoted string without escapes (rule ids and
+    /// repo paths never need them).
+    pub(crate) fn string(&self, key: &str) -> Result<String, String> {
+        let (value, line) = self.get(key)?;
+        value
+            .strip_prefix('"')
+            .and_then(|v| v.strip_suffix('"'))
+            .filter(|v| !v.contains(['"', '\\']))
+            .map(str::to_string)
+            .ok_or_else(|| {
+                format!(
+                    "{}:{line}: `{key}` must be a double-quoted string without escapes",
+                    self.file
+                )
+            })
+    }
+
+    /// `key` as a non-negative integer.
+    pub(crate) fn count(&self, key: &str) -> Result<usize, String> {
+        let (value, line) = self.get(key)?;
+        value.parse().map_err(|_| {
+            format!(
+                "{}:{line}: `{key}` must be a non-negative integer",
+                self.file
+            )
+        })
+    }
 }
 
-/// Parses a double-quoted TOML basic string with no escapes (rule ids
-/// and repo paths never need them).
-fn parse_string(value: &str, lineno: usize) -> Result<String, String> {
-    let inner = value
-        .strip_prefix('"')
-        .and_then(|v| v.strip_suffix('"'))
-        .ok_or_else(|| format!("{BASELINE_PATH}:{lineno}: expected a double-quoted string"))?;
-    if inner.contains('"') || inner.contains('\\') {
-        return Err(format!(
-            "{BASELINE_PATH}:{lineno}: escapes are not supported in baseline strings"
-        ));
+/// Reads the TOML subset shared by `lint-baseline.toml` and
+/// `lint/hot-paths.toml`: `#` comments, blank lines, and repeated
+/// `[[name]]` tables of `key = value` lines. `schema` lists each table
+/// name with its allowed keys. Unknown tables, unknown or duplicate
+/// keys and keys outside a table are errors naming `file` and the line.
+pub(crate) fn read_tables<'a>(
+    text: &'a str,
+    file: &'static str,
+    schema: &[(&'static str, &'static [&'static str])],
+) -> Result<Vec<Table<'a>>, String> {
+    let mut tables: Vec<Table<'a>> = Vec::new();
+    for (idx, raw) in text.lines().enumerate() {
+        let line = idx.saturating_add(1);
+        let at = |message: String| format!("{file}:{line}: {message}");
+        let trimmed = raw.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') {
+            continue;
+        }
+        if trimmed.starts_with('[') {
+            let &(name, keys) = trimmed
+                .strip_prefix("[[")
+                .and_then(|t| t.strip_suffix("]]"))
+                .and_then(|t| schema.iter().find(|(name, _)| *name == t))
+                .ok_or_else(|| at(format!("unknown table `{trimmed}`")))?;
+            tables.push(Table {
+                name,
+                keys,
+                line,
+                file,
+                pairs: Vec::new(),
+            });
+            continue;
+        }
+        let (key, value) = trimmed
+            .split_once('=')
+            .ok_or_else(|| at("expected `key = value`".to_string()))?;
+        let key = key.trim();
+        let table = tables
+            .last_mut()
+            .ok_or_else(|| at("key outside a table".to_string()))?;
+        if !table.keys.contains(&key) {
+            return Err(at(format!("unknown [[{}]] key `{key}`", table.name)));
+        }
+        if table.pairs.iter().any(|(k, _, _)| *k == key) {
+            return Err(at(format!("duplicate [[{}]] key `{key}`", table.name)));
+        }
+        table.pairs.push((key, value.trim(), line));
     }
-    Ok(inner.to_string())
+    Ok(tables)
 }
 
 #[cfg(test)]
@@ -381,6 +389,9 @@ mod tests {
         assert!(Baseline::parse("[[allow]]\nrule = \"x\"\n").is_err()); // missing keys
         assert!(Baseline::parse("[[allow]]\nrule = x\nfile = \"f\"\ncount = 1\n").is_err());
         assert!(Baseline::parse("[[allow]]\nrule = \"x\"\nfile = \"f\"\ncount = -1\n").is_err());
+        let err = Baseline::parse("[[allow]]\nrule = \"x\"\nfile = \"f\"\ncount = 1\ncount = 99\n")
+            .unwrap_err();
+        assert!(err.contains("lint-baseline.toml:5"), "{err}"); // duplicate key
     }
 
     #[test]

@@ -9,8 +9,16 @@
 //! calls — where the receiver type is unknown without type inference —
 //! conservatively match every workspace function of that name. Calls
 //! that match no workspace function (std, vendor stubs) fall outside
-//! the graph. See DESIGN.md §10 for the soundness caveats (method-call
-//! conservatism, macro opacity).
+//! the graph. An edge survives only when the callee's crate is the
+//! caller's own crate or in its manifest dependency closure, so a
+//! method name shared with an unrelated crate adds no edge. See
+//! DESIGN.md §10 for the soundness caveats (method-call conservatism,
+//! macro opacity, and generic std-trait dispatch into a higher crate's
+//! impl, which the pruning cuts).
+//!
+//! [`reaching`] is the backward worklist fixpoint over these edges that
+//! both the panic ([`crate::reach`]) and the allocation
+//! ([`crate::hotpath`]) analyses run.
 //!
 //! Alongside the edges, each body is scanned for *direct panic sites*:
 //! `panic!`/`unreachable!`/`todo!`/`unimplemented!`/`assert!`-family
@@ -62,9 +70,10 @@ pub struct CallGraph {
 const PANIC_MACROS: [&str; 4] = ["panic", "unreachable", "todo", "unimplemented"];
 const ASSERT_MACROS: [&str; 3] = ["assert", "assert_eq", "assert_ne"];
 
-/// Builds the graph for `files` (parallel slice to the items' origin:
-/// `items_per_file[f]` are indices into `items` for `files[f]`).
-pub fn build(files: &[SourceFile]) -> CallGraph {
+/// Builds the graph for `files`. A call edge survives only when the
+/// callee's crate is the caller's own crate or in its transitive
+/// dependency closure under the manifest `dep_edges`.
+pub fn build(files: &[SourceFile], dep_edges: &[(String, Vec<String>)]) -> CallGraph {
     let mut items: Vec<FnItem> = Vec::new();
     let mut file_of_item: Vec<usize> = Vec::new();
     {
@@ -85,6 +94,26 @@ pub fn build(files: &[SourceFile]) -> CallGraph {
         .collect();
     by_name.sort_by(|a, b| a.1.cmp(b.1));
 
+    // `(crate, crates it can link against)`, itself included.
+    let closures: Vec<(&str, Vec<&str>)> = dep_edges
+        .iter()
+        .map(|(name, _)| {
+            let mut seen = vec![name.as_str()];
+            let mut stack = vec![name.as_str()];
+            while let Some(cur) = stack.pop() {
+                for (_, deps) in dep_edges.iter().filter(|(n, _)| n == cur) {
+                    for dep in deps {
+                        if !seen.contains(&dep.as_str()) {
+                            seen.push(dep);
+                            stack.push(dep);
+                        }
+                    }
+                }
+            }
+            (name.as_str(), seen)
+        })
+        .collect();
+
     let mut calls: Vec<Vec<usize>> = vec![Vec::new(); items.len()];
     let mut sites: Vec<Vec<PanicSite>> = vec![Vec::new(); items.len()];
 
@@ -103,6 +132,14 @@ pub fn build(files: &[SourceFile]) -> CallGraph {
             &mut calls[idx],
             &mut sites[idx],
         );
+        let linkable = closures
+            .iter()
+            .find(|(name, _)| *name == item.crate_name)
+            .map_or(&[][..], |(_, deps)| deps);
+        calls[idx].retain(|&callee| {
+            let to = items[callee].crate_name.as_str();
+            to == item.crate_name || linkable.contains(&to)
+        });
         calls[idx].sort_unstable();
         calls[idx].dedup();
     }
@@ -112,6 +149,33 @@ pub fn build(files: &[SourceFile]) -> CallGraph {
         calls,
         sites,
     }
+}
+
+/// `reaching[i]` — item `i` is a seed or calls one, directly or
+/// transitively: a backward worklist fixpoint over the call edges.
+/// Test items neither seed nor propagate.
+pub(crate) fn reaching(graph: &CallGraph, mut seeds: Vec<bool>) -> Vec<bool> {
+    let _span = axqa_obs::span("lint.fixpoint");
+    let mut callers: Vec<Vec<usize>> = vec![Vec::new(); seeds.len()];
+    for (caller, callees) in graph.calls.iter().enumerate() {
+        if graph.items[caller].is_test {
+            seeds[caller] = false;
+            continue;
+        }
+        for &callee in callees {
+            callers[callee].push(caller);
+        }
+    }
+    let mut worklist: Vec<usize> = (0..seeds.len()).filter(|&i| seeds[i]).collect();
+    while let Some(i) = worklist.pop() {
+        for &caller in &callers[i] {
+            if !seeds[caller] {
+                seeds[caller] = true;
+                worklist.push(caller);
+            }
+        }
+    }
+    seeds
 }
 
 /// All item indices named `name` (binary search over the sorted index).
@@ -290,6 +354,8 @@ fn resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hotpath::{analyze, parse_config, AllocClass};
+    use crate::Workspace;
 
     fn graph(sources: &[(&str, &str)]) -> CallGraph {
         let files: Vec<SourceFile> = sources
@@ -303,7 +369,7 @@ mod tests {
                 )
             })
             .collect();
-        build(&files)
+        build(&files, &[])
     }
 
     fn item_idx(g: &CallGraph, name: &str) -> usize {
@@ -413,5 +479,53 @@ mod tests {
             .filter(|s| s.kind == PanicKind::Index)
             .count();
         assert_eq!(idx_sites, 2);
+    }
+
+    #[test]
+    fn dependency_pruning_cuts_cross_crate_method_matches() {
+        // `x.load()` conservatively matches axqa-other's `load`, which
+        // panics and allocates. Without a declared dependency the edge
+        // is pruned and `f` is panic-free and alloc-free; with one it
+        // reaches both.
+        let file = |rel: &str, krate: &str, text: &str| {
+            SourceFile::new(rel.to_string(), krate.to_string(), false, text.to_string())
+        };
+        for (deps, panic_class, alloc_class) in [
+            (Vec::new(), "panic-free", AllocClass::Free),
+            (
+                vec!["axqa-other".to_string()],
+                "panic-reaching",
+                AllocClass::Reaching,
+            ),
+        ] {
+            let mut ws = Workspace::new(
+                vec![
+                    file(
+                        "crates/core/src/a.rs",
+                        "axqa-core",
+                        "pub fn f(x: &S) -> usize { x.load() }\n",
+                    ),
+                    file(
+                        "crates/other/src/b.rs",
+                        "axqa-other",
+                        "pub fn load() -> Vec<u32> { panic!(\"boom\"); Vec::new() }\n",
+                    ),
+                ],
+                vec![
+                    ("axqa-core".to_string(), deps),
+                    ("axqa-other".to_string(), Vec::new()),
+                ],
+            );
+            ws.hot_paths = Some("[[root]]\npath = \"f\"\nreason = \"test\"\n".to_string());
+            let f = item_idx(ws.callgraph(), "f");
+            let panic = crate::reach::surface(ws.callgraph());
+            let line = panic
+                .iter()
+                .find(|(l, _)| l.key == "axqa_core::a::f")
+                .unwrap();
+            assert_eq!(line.0.class, panic_class);
+            let roots = parse_config(ws.hot_paths.as_deref().unwrap()).unwrap();
+            assert_eq!(analyze(&ws, &roots).class_of(f), alloc_class);
+        }
     }
 }

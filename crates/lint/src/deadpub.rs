@@ -124,26 +124,18 @@ mod tests {
     use crate::SourceFile;
 
     fn workspace(sources: &[(&str, &str)]) -> Workspace {
-        Workspace {
-            files: sources
-                .iter()
-                .map(|(rel, text)| {
-                    SourceFile::new(
-                        rel.to_string(),
-                        "axqa-core".to_string(),
-                        false,
-                        text.to_string(),
-                    )
-                })
-                .collect(),
-            dep_edges: vec![("axqa-core".to_string(), Vec::new())],
-            api_surface_snapshot: None,
-            panic_surface_snapshot: None,
-            alloc_surface_snapshot: None,
-            hot_paths: None,
-            alloc_grants: Vec::new(),
-            graph: std::cell::OnceCell::new(),
-        }
+        let files = sources
+            .iter()
+            .map(|(rel, text)| {
+                SourceFile::new(
+                    rel.to_string(),
+                    "axqa-core".to_string(),
+                    false,
+                    text.to_string(),
+                )
+            })
+            .collect();
+        Workspace::new(files, vec![("axqa-core".to_string(), Vec::new())])
     }
 
     fn check(sources: &[(&str, &str)]) -> Vec<Finding> {

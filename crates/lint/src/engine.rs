@@ -9,7 +9,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::baseline::{Allow, Baseline, BASELINE_PATH};
-use crate::{api_surface, hotpath, reach, registry, Finding, Scope, SourceFile, Workspace};
+use crate::{hotpath, registry, surface, Finding, Scope, SourceFile, Workspace};
 
 /// What `run` should rewrite on disk besides checking.
 #[derive(Debug, Clone, Copy, Default)]
@@ -17,12 +17,9 @@ pub struct UpdateFlags {
     /// Rewrite `lint-baseline.toml` to exactly cover current findings
     /// (hand-maintained `[[alloc-ok]]` grants are preserved).
     pub baseline: bool,
-    /// Rewrite `lint/api-surface.txt` from the current sources.
-    pub api_surface: bool,
-    /// Rewrite `lint/panic-surface.txt` from the current call graph.
-    pub panic_surface: bool,
-    /// Rewrite `lint/alloc-surface.txt` from the current hot cones.
-    pub alloc_surface: bool,
+    /// Rewrite every `lint/*-surface.txt` snapshot from the current
+    /// sources.
+    pub surfaces: bool,
 }
 
 /// The result of one engine run, ready for rendering.
@@ -38,14 +35,8 @@ pub struct Outcome {
     pub files_scanned: usize,
     /// `(id, description)` of every registered rule.
     pub rules: Vec<(&'static str, &'static str)>,
-    /// True when `--update-baseline` rewrote the baseline file.
-    pub wrote_baseline: bool,
-    /// True when `--update-api-surface` rewrote the snapshot.
-    pub wrote_api_surface: bool,
-    /// True when `--update-panic-surface` rewrote the snapshot.
-    pub wrote_panic_surface: bool,
-    /// True when `--update-alloc-surface` rewrote the snapshot.
-    pub wrote_alloc_surface: bool,
+    /// Workspace-relative paths of the files the update flags rewrote.
+    pub wrote: Vec<&'static str>,
 }
 
 impl Outcome {
@@ -97,41 +88,11 @@ pub fn run(root: &Path, update: UpdateFlags) -> Result<Outcome, String> {
     };
     workspace.alloc_grants = baseline.alloc_ok.clone();
 
-    let mut wrote_api_surface = false;
-    if update.api_surface {
-        let rendered = api_surface::render_surface(&workspace);
-        let path = root.join(api_surface::SNAPSHOT_PATH);
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent).map_err(|e| format!("mkdir {}: {e}", parent.display()))?;
-        }
-        fs::write(&path, &rendered).map_err(|e| format!("write {}: {e}", path.display()))?;
-        workspace.api_surface_snapshot = Some(rendered);
-        wrote_api_surface = true;
-    }
-
-    let mut wrote_panic_surface = false;
-    if update.panic_surface {
-        let rendered = reach::render_surface(&workspace);
-        let path = root.join(reach::SNAPSHOT_PATH);
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent).map_err(|e| format!("mkdir {}: {e}", parent.display()))?;
-        }
-        fs::write(&path, &rendered).map_err(|e| format!("write {}: {e}", path.display()))?;
-        workspace.panic_surface_snapshot = Some(rendered);
-        wrote_panic_surface = true;
-    }
-
-    let mut wrote_alloc_surface = false;
-    if update.alloc_surface {
-        let rendered = hotpath::render_surface(&workspace);
-        let path = root.join(hotpath::SNAPSHOT_PATH);
-        if let Some(parent) = path.parent() {
-            fs::create_dir_all(parent).map_err(|e| format!("mkdir {}: {e}", parent.display()))?;
-        }
-        fs::write(&path, &rendered).map_err(|e| format!("write {}: {e}", path.display()))?;
-        workspace.alloc_surface_snapshot = Some(rendered);
-        wrote_alloc_surface = true;
-    }
+    let mut wrote = if update.surfaces {
+        surface::update_all(root, &mut workspace)?
+    } else {
+        Vec::new()
+    };
 
     let rules = registry();
     let mut findings = Vec::new();
@@ -150,16 +111,14 @@ pub fn run(root: &Path, update: UpdateFlags) -> Result<Outcome, String> {
     }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
 
-    let mut wrote_baseline = false;
     if update.baseline {
         // `[[allow]]` entries regenerate from the current findings;
         // `[[alloc-ok]]` grants are hand-maintained and carried over.
         let alloc_ok = std::mem::take(&mut baseline.alloc_ok);
         baseline = Baseline::from_findings(&findings);
         baseline.alloc_ok = alloc_ok;
-        fs::write(&baseline_path, baseline.render())
-            .map_err(|e| format!("write {}: {e}", baseline_path.display()))?;
-        wrote_baseline = true;
+        write(&baseline_path, &baseline.render())?;
+        wrote.push(BASELINE_PATH);
     }
 
     let applied = baseline.apply(&findings);
@@ -169,16 +128,22 @@ pub fn run(root: &Path, update: UpdateFlags) -> Result<Outcome, String> {
         findings,
         baselined: applied.baselined,
         stale: applied.stale,
-        wrote_baseline,
-        wrote_api_surface,
-        wrote_panic_surface,
-        wrote_alloc_surface,
+        wrote,
     })
+}
+
+/// Writes `text` to `path`, creating its directory if needed.
+pub(crate) fn write(path: &Path, text: &str) -> Result<(), String> {
+    if let Some(parent) = path.parent() {
+        fs::create_dir_all(parent).map_err(|e| format!("mkdir {}: {e}", parent.display()))?;
+    }
+    fs::write(path, text).map_err(|e| format!("write {}: {e}", path.display()))
 }
 
 /// Collects every workspace source file (crate `src/` trees plus the
 /// umbrella root `src/`, vendor excluded by construction), the
-/// manifest dependency edges, and the API-surface snapshot.
+/// manifest dependency edges, the surface snapshots and the hot-paths
+/// config.
 pub fn collect_workspace(root: &Path) -> Result<Workspace, String> {
     let mut packages: Vec<(String, PathBuf, Vec<String>)> = Vec::new();
 
@@ -230,21 +195,14 @@ pub fn collect_workspace(root: &Path) -> Result<Workspace, String> {
         files.sort_by(|a, b| a.rel.cmp(&b.rel));
     }
 
-    let api_surface_snapshot = read_optional(&root.join(api_surface::SNAPSHOT_PATH))?;
-    let panic_surface_snapshot = read_optional(&root.join(reach::SNAPSHOT_PATH))?;
-    let alloc_surface_snapshot = read_optional(&root.join(hotpath::SNAPSHOT_PATH))?;
-    let hot_paths = read_optional(&root.join(hotpath::CONFIG_PATH))?;
-
-    Ok(Workspace {
-        files,
-        dep_edges,
-        api_surface_snapshot,
-        panic_surface_snapshot,
-        alloc_surface_snapshot,
-        hot_paths,
-        alloc_grants: Vec::new(),
-        graph: std::cell::OnceCell::new(),
-    })
+    let mut workspace = Workspace::new(files, dep_edges);
+    for surface in &surface::ALL {
+        if let Some(text) = read_optional(&root.join(surface.path))? {
+            workspace.snapshots.push((surface.path, text));
+        }
+    }
+    workspace.hot_paths = read_optional(&root.join(hotpath::CONFIG_PATH))?;
+    Ok(workspace)
 }
 
 /// Recursively gathers `.rs` files under `dir` into [`SourceFile`]s.
@@ -514,10 +472,7 @@ proptest.workspace = true
             stale: Vec::new(),
             files_scanned: 1,
             rules: vec![("paper-doc", "paper anchors")],
-            wrote_baseline: false,
-            wrote_api_surface: false,
-            wrote_panic_surface: false,
-            wrote_alloc_surface: false,
+            wrote: Vec::new(),
         }
     }
 

@@ -2,6 +2,9 @@
 //! paper-mandated layer DAG (DESIGN.md §1/§6) — data model below query
 //! model below evaluators below synopses below the harness — with no
 //! cycles and no upward edges (`core` must never depend on `harness`).
+//! Layers strictly decrease along every legal edge, so every cycle
+//! among layered crates contains an upward or same-layer edge and
+//! needs no search of its own.
 //!
 //! Edges come from each crate's `[dependencies]` section (a minimal
 //! manifest scan in [`crate::engine`]); dev-dependencies are excluded
@@ -94,16 +97,6 @@ pub fn check_edges(
             }
         }
     }
-
-    for cycle in find_cycles(edges) {
-        findings.push(Finding {
-            rule: "crate-layering",
-            file: manifest(&cycle[0]),
-            line: 0,
-            span: (0, 0),
-            message: format!("dependency cycle: {}", cycle.join(" → ")),
-        });
-    }
 }
 
 /// Workspace-relative crate directory for a package name (`axqa-core` →
@@ -114,58 +107,6 @@ fn crate_dir(package: &str) -> String {
         "xtask" => "crates/xtask".to_string(),
         other => format!("crates/{}", other.strip_prefix("axqa-").unwrap_or(other)),
     }
-}
-
-/// Finds one representative cycle per strongly-connected knot via DFS
-/// with an explicit color map (the graph has ~a dozen nodes).
-fn find_cycles(edges: &[(String, Vec<String>)]) -> Vec<Vec<String>> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Gray,
-        Black,
-    }
-    let index_of = |name: &str| edges.iter().position(|(n, _)| n == name);
-    let mut color = vec![Color::White; edges.len()];
-    let mut cycles = Vec::new();
-
-    fn dfs(
-        at: usize,
-        edges: &[(String, Vec<String>)],
-        index_of: &dyn Fn(&str) -> Option<usize>,
-        color: &mut [Color],
-        stack: &mut Vec<usize>,
-        cycles: &mut Vec<Vec<String>>,
-    ) {
-        color[at] = Color::Gray;
-        stack.push(at);
-        for dep in &edges[at].1 {
-            let Some(next) = index_of(dep) else { continue };
-            match color[next] {
-                Color::White => dfs(next, edges, index_of, color, stack, cycles),
-                Color::Gray => {
-                    // Found a back edge: report stack from `next` to `at`.
-                    if let Some(pos) = stack.iter().position(|&n| n == next) {
-                        let mut cycle: Vec<String> =
-                            stack[pos..].iter().map(|&n| edges[n].0.clone()).collect();
-                        cycle.push(edges[next].0.clone());
-                        cycles.push(cycle);
-                    }
-                }
-                Color::Black => {}
-            }
-        }
-        stack.pop();
-        color[at] = Color::Black;
-    }
-
-    for start in 0..edges.len() {
-        if color[start] == Color::White {
-            let mut stack = Vec::new();
-            dfs(start, edges, &index_of, &mut color, &mut stack, &mut cycles);
-        }
-    }
-    cycles
 }
 
 #[cfg(test)]
@@ -222,10 +163,6 @@ mod tests {
         assert!(upward[0]
             .message
             .contains("`axqa-core` (layer 3) → `axqa-harness` (layer 5)"));
-        // The same graph is cyclic; the cycle is reported too.
-        assert!(findings
-            .iter()
-            .any(|f| f.message.contains("dependency cycle")));
     }
 
     #[test]
@@ -245,15 +182,13 @@ mod tests {
     }
 
     #[test]
-    fn cycles_are_reported_with_a_path() {
+    fn cycles_are_reported_as_an_upward_edge() {
         let graph = edges(&[("axqa-xml", &["axqa-query"]), ("axqa-query", &["axqa-xml"])]);
         let mut findings = Vec::new();
         check_edges(&graph, LAYERS, &mut findings);
-        assert!(
-            findings
-                .iter()
-                .any(|f| f.message.contains("dependency cycle")),
-            "{findings:?}"
-        );
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0]
+            .message
+            .contains("upward dependency `axqa-xml` (layer 0) → `axqa-query` (layer 1)"));
     }
 }

@@ -29,17 +29,22 @@
 //!   visibility, `# Panics` docs, body token range) from the token
 //!   stream;
 //! * [`callgraph`] builds the intra-workspace call graph
-//!   (suffix-qualified name resolution, conservative method calls) and
-//!   collects direct panic sites;
-//! * [`reach`] runs the panic-reachability fixpoint and ratchets the
-//!   public classification against `lint/panic-surface.txt`;
+//!   (suffix-qualified name resolution, conservative method calls,
+//!   edges pruned to each crate's dependency closure), collects direct
+//!   panic sites, and runs the backward reachability fixpoint that the
+//!   panic and allocation analyses share;
+//! * [`surface`] is the snapshot ratchet behind the three committed
+//!   `lint/*-surface.txt` files: parse, render, multiset diff, and the
+//!   `--update-surfaces` write path;
+//! * [`reach`] classifies public fns by panic reachability
+//!   (`lint/panic-surface.txt`);
 //! * [`allocsite`] detects direct allocation sites (constructors on
 //!   heap-owning types, owned-result methods, growth calls, and
 //!   macro-opaque invocations) in function bodies;
-//! * [`hotpath`] runs the allocation-reachability fixpoint from the
-//!   hot roots declared in `lint/hot-paths.toml`, honors `[[alloc-ok]]`
-//!   grants from the baseline, and ratchets the classification against
-//!   `lint/alloc-surface.txt` (DESIGN.md §11);
+//! * [`hotpath`] classifies the call cones of the hot roots declared in
+//!   `lint/hot-paths.toml` by allocation reachability, after applying
+//!   the baseline's `[[alloc-ok]]` grants (`lint/alloc-surface.txt`,
+//!   DESIGN.md §11);
 //! * [`deadpub`] reports plain-`pub` functions with zero
 //!   intra-workspace callers and no textual references;
 //! * [`determinism`] flags order-dependent hashmap iteration and
@@ -48,11 +53,12 @@
 //!   scanning;
 //! * [`layering`] parses the workspace manifests and enforces the
 //!   DESIGN.md §1 crate-layer DAG (no cycles, no upward edges);
-//! * [`api_surface`] snapshots `pub fn` / `pub struct` signatures into
-//!   `lint/api-surface.txt` and fails on unacknowledged churn;
+//! * [`api_surface`] extracts the `pub fn` / `pub struct` signatures
+//!   (`lint/api-surface.txt`);
 //! * [`baseline`] implements the `lint-baseline.toml` ratchet:
 //!   grandfathered findings pass, new findings fail, and
-//!   `--update-baseline` shrinks the file as violations are fixed;
+//!   `--update-baseline` shrinks the file as violations are fixed. Its
+//!   TOML-subset reader also parses `lint/hot-paths.toml`;
 //! * [`engine`] collects sources, runs the registry, applies the
 //!   baseline and renders human text or `--format json`
 //!   (schema `axqa-lint/1`).
@@ -70,6 +76,7 @@ pub mod parse;
 pub mod reach;
 pub mod rules;
 pub mod sarif;
+pub mod surface;
 pub mod token;
 
 use std::cell::OnceCell;
@@ -147,12 +154,9 @@ pub struct Workspace {
     /// cargo already forbids dev-cycles that break builds, and tests
     /// may reach upward for fixtures).
     pub dep_edges: Vec<(String, Vec<String>)>,
-    /// Contents of `lint/api-surface.txt` if present.
-    pub api_surface_snapshot: Option<String>,
-    /// Contents of `lint/panic-surface.txt` if present.
-    pub panic_surface_snapshot: Option<String>,
-    /// Contents of `lint/alloc-surface.txt` if present.
-    pub alloc_surface_snapshot: Option<String>,
+    /// `(path, contents)` of every committed [`surface`] snapshot that
+    /// exists.
+    pub snapshots: Vec<(&'static str, String)>,
     /// Contents of `lint/hot-paths.toml` (the alloc-analysis roots)
     /// if present.
     pub hot_paths: Option<String>,
@@ -166,12 +170,25 @@ pub struct Workspace {
 }
 
 impl Workspace {
+    /// A workspace over `files` and the manifest `dep_edges`, with no
+    /// snapshots, hot-paths config or grants yet.
+    pub fn new(files: Vec<SourceFile>, dep_edges: Vec<(String, Vec<String>)>) -> Workspace {
+        Workspace {
+            files,
+            dep_edges,
+            snapshots: Vec::new(),
+            hot_paths: None,
+            alloc_grants: Vec::new(),
+            graph: OnceCell::new(),
+        }
+    }
+
     /// The workspace call graph, built on first use (under a
     /// `lint.callgraph` span) and shared across rules.
     pub fn callgraph(&self) -> &callgraph::CallGraph {
         self.graph.get_or_init(|| {
             let _span = axqa_obs::span("lint.callgraph");
-            callgraph::build(&self.files)
+            callgraph::build(&self.files, &self.dep_edges)
         })
     }
 }
@@ -204,10 +221,10 @@ pub fn registry() -> Vec<Box<dyn Rule>> {
         Box::new(determinism::HashMapIterOrder),
         Box::new(determinism::FloatTotalOrder),
         Box::new(layering::CrateLayering),
-        Box::new(api_surface::ApiSurface),
-        Box::new(reach::PanicSurface),
+        Box::new(api_surface::SURFACE),
+        Box::new(reach::SURFACE),
         Box::new(hotpath::HotPathAlloc),
-        Box::new(hotpath::AllocSurface),
+        Box::new(hotpath::SURFACE),
         Box::new(deadpub::DeadPub),
     ]
 }

@@ -97,10 +97,7 @@ mod tests {
                 ("dead-pub", "no dead pub fns"),
                 ("paper-doc", "paper anchors"),
             ],
-            wrote_baseline: false,
-            wrote_api_surface: false,
-            wrote_panic_surface: false,
-            wrote_alloc_surface: false,
+            wrote: Vec::new(),
         }
     }
 

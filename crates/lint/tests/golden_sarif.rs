@@ -83,10 +83,7 @@ fn fixture() -> Outcome {
                 "no plain-pub fn with zero intra-workspace callers and no textual reference",
             ),
         ],
-        wrote_baseline: false,
-        wrote_api_surface: false,
-        wrote_panic_surface: false,
-        wrote_alloc_surface: false,
+        wrote: Vec::new(),
     }
 }
 

@@ -7,7 +7,7 @@
 //! workspace *contents* — never of the order files happen to be visited
 //! in. The engine sorts collected files by path, but nothing downstream
 //! is allowed to depend on that: `hotpath::analyze` sorts its own file
-//! index and `hotpath::surface` sorts its output. These properties pin
+//! index and the shared surface renderer sorts its output. These properties pin
 //! that down by rendering the surface for a generated workspace under a
 //! random permutation of the file list and demanding byte-identical
 //! output, with grants and cross-crate calls in play.
@@ -105,19 +105,16 @@ fn build(spec: &GenWorkspace, perm: &[usize]) -> Workspace {
             reason: "generated".to_string(),
         })
         .collect();
-    Workspace {
-        files: perm.iter().map(|&fi| file_of(fi)).collect(),
-        dep_edges: vec![
+    let mut ws = Workspace::new(
+        perm.iter().map(|&fi| file_of(fi)).collect(),
+        vec![
             ("axqa-core".to_string(), vec!["axqa-eval".to_string()]),
             ("axqa-eval".to_string(), Vec::new()),
         ],
-        api_surface_snapshot: None,
-        panic_surface_snapshot: None,
-        alloc_surface_snapshot: None,
-        hot_paths: Some("[[root]]\npath = \"hot_fn_0\"\nreason = \"generated root\"\n".to_string()),
-        alloc_grants,
-        graph: std::cell::OnceCell::new(),
-    }
+    );
+    ws.hot_paths = Some("[[root]]\npath = \"hot_fn_0\"\nreason = \"generated root\"\n".to_string());
+    ws.alloc_grants = alloc_grants;
+    ws
 }
 
 fn gen_workspace() -> impl Strategy<Value = GenWorkspace> {
@@ -151,7 +148,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let sorted: Vec<usize> = (0..spec.num_files).collect();
-        let reference = hotpath::render_surface(&build(&spec, &sorted));
+        let reference = hotpath::SURFACE.render(&build(&spec, &sorted)).unwrap();
 
         // Deterministic permutation from the seed (avoid a second
         // proptest-level shuffle dimension blowing up the case count).
@@ -161,7 +158,7 @@ proptest! {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
             perm.swap(i, (state >> 33) as usize % (i + 1));
         }
-        let shuffled = hotpath::render_surface(&build(&spec, &perm));
+        let shuffled = hotpath::SURFACE.render(&build(&spec, &perm)).unwrap();
         prop_assert_eq!(&reference, &shuffled, "perm {:?}", perm);
     }
 
@@ -170,8 +167,8 @@ proptest! {
     #[test]
     fn surface_is_rebuild_stable(spec in gen_workspace()) {
         let order: Vec<usize> = (0..spec.num_files).collect();
-        let a = hotpath::render_surface(&build(&spec, &order));
-        let b = hotpath::render_surface(&build(&spec, &order));
+        let a = hotpath::SURFACE.render(&build(&spec, &order)).unwrap();
+        let b = hotpath::SURFACE.render(&build(&spec, &order)).unwrap();
         prop_assert_eq!(a, b);
     }
 }

@@ -14,8 +14,7 @@
 //!
 //! ```text
 //! cargo xtask lint [--format text|json|sarif] [--out PATH] [--sarif PATH]
-//!                  [--metrics PATH] [--update-baseline] [--update-api-surface]
-//!                  [--update-panic-surface] [--update-alloc-surface]
+//!                  [--metrics PATH] [--update-baseline] [--update-surfaces]
 //! ```
 //!
 //! `--out PATH` writes the JSON report to PATH regardless of the
@@ -25,6 +24,9 @@
 //! axqa-obs spans (`lint.tokenize`, `lint.parse`, `lint.callgraph`,
 //! `lint.rules`, `lint.fixpoint`) into an `axqa-obs/2` metrics file so
 //! lint runtime regressions surface like any other phase.
+//! `--update-surfaces` rewrites the API, panic and allocation surface
+//! snapshots under `lint/`; `--update-baseline` rewrites
+//! `lint-baseline.toml`.
 
 use std::process::ExitCode;
 
@@ -37,8 +39,7 @@ static ALLOC: axqa_obs::alloc::CountingAlloc = axqa_obs::alloc::CountingAlloc;
 
 const USAGE: &str = "usage: cargo xtask lint [--format text|json|sarif] [--out PATH] \
                      [--sarif PATH] [--metrics PATH] [--update-baseline] \
-                     [--update-api-surface] [--update-panic-surface] \
-                     [--update-alloc-surface]";
+                     [--update-surfaces]";
 
 #[derive(Debug, PartialEq, Eq)]
 enum Format {
@@ -107,9 +108,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 );
             }
             "--update-baseline" => args.update.baseline = true,
-            "--update-api-surface" => args.update.api_surface = true,
-            "--update-panic-surface" => args.update.panic_surface = true,
-            "--update-alloc-surface" => args.update.alloc_surface = true,
+            "--update-surfaces" => args.update.surfaces = true,
             other => return Err(format!("unknown flag `{other}`\n{USAGE}")),
         }
     }
@@ -150,17 +149,8 @@ fn run() -> Result<bool, String> {
         std::fs::write(path, axqa_lint::sarif::render_sarif(&outcome))
             .map_err(|e| format!("write {path}: {e}"))?;
     }
-    if outcome.wrote_baseline {
-        println!("wrote {}", axqa_lint::baseline::BASELINE_PATH);
-    }
-    if outcome.wrote_api_surface {
-        println!("wrote {}", axqa_lint::api_surface::SNAPSHOT_PATH);
-    }
-    if outcome.wrote_panic_surface {
-        println!("wrote {}", axqa_lint::reach::SNAPSHOT_PATH);
-    }
-    if outcome.wrote_alloc_surface {
-        println!("wrote {}", axqa_lint::hotpath::SNAPSHOT_PATH);
+    for path in &outcome.wrote {
+        println!("wrote {path}");
     }
     Ok(outcome.gate_passes())
 }
@@ -197,9 +187,7 @@ mod tests {
             "--metrics",
             "lint-metrics.json",
             "--update-baseline",
-            "--update-api-surface",
-            "--update-panic-surface",
-            "--update-alloc-surface",
+            "--update-surfaces",
         ]))
         .unwrap();
         assert_eq!(args.format, Format::Json);
@@ -207,9 +195,7 @@ mod tests {
         assert_eq!(args.sarif.as_deref(), Some("lint-findings.sarif"));
         assert_eq!(args.metrics.as_deref(), Some("lint-metrics.json"));
         assert!(args.update.baseline);
-        assert!(args.update.api_surface);
-        assert!(args.update.panic_surface);
-        assert!(args.update.alloc_surface);
+        assert!(args.update.surfaces);
     }
 
     #[test]
@@ -227,6 +213,14 @@ mod tests {
         assert!(parse_args(&argv(&["lint", "--out"])).is_err());
         assert!(parse_args(&argv(&["lint", "--sarif"])).is_err());
         assert!(parse_args(&argv(&["lint", "--metrics"])).is_err());
+        // `--update-surfaces` is the only surface update flag.
+        for old in [
+            "--update-api-surface",
+            "--update-panic-surface",
+            "--update-alloc-surface",
+        ] {
+            assert!(parse_args(&argv(&["lint", old])).is_err(), "{old}");
+        }
     }
 
     #[test]
@@ -237,8 +231,6 @@ mod tests {
         assert!(args.sarif.is_none());
         assert!(args.metrics.is_none());
         assert!(!args.update.baseline);
-        assert!(!args.update.api_surface);
-        assert!(!args.update.panic_surface);
-        assert!(!args.update.alloc_surface);
+        assert!(!args.update.surfaces);
     }
 }
