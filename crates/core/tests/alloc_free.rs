@@ -26,6 +26,10 @@
 //!   workload on the warm scratch allocates exactly the same amount,
 //!   i.e. nothing is allocated *by the loop* beyond the answers
 //!   themselves.
+//! - The summarize front end, `parse_document` and `BUILDSTABLE`,
+//!   allocates per label and class, not per element: buffer growth,
+//!   label interning, and one child list plus one boxed signature per
+//!   new class.
 //!
 //! Kept as serial `#[test]`s in one binary would still race on the
 //! process-wide recorder gate, so each test installs and uninstalls its
@@ -175,6 +179,52 @@ fn pooled_evalquery_steady_state_allocates_only_the_answers() {
     assert_eq!(
         passes[0], passes[1],
         "pooled EVALQUERY steady state drifted between identical passes"
+    );
+}
+
+/// 4,000 bibliography records, ~28,000 elements in 25 classes: each
+/// record's keyword and marker counts cycle, and its year is numeric.
+fn bibliography_text() -> String {
+    let mut src = String::from("<bib>");
+    for i in 0..4000 {
+        src.push_str("<p>");
+        src.push_str(&"<k/>".repeat(i % 7 + 1));
+        src.push_str(&"<m/>".repeat(i % 3));
+        src.push_str(&format!("<y>{}</y></p>", 1990 + i % 30));
+    }
+    src.push_str("</bib>");
+    src
+}
+
+#[test]
+fn parse_and_buildstable_allocate_per_class_not_per_element() {
+    let _gate = GATE.lock().unwrap();
+    assert!(axqa_obs::alloc::counting_allocator_active());
+    let text = bibliography_text();
+
+    let recorder = axqa_obs::Recorder::new();
+    recorder.install();
+    let doc = {
+        let _span = axqa_obs::span("parse_document");
+        parse_document(&text).unwrap()
+    };
+    let stable = build_stable(&doc);
+    axqa_obs::uninstall();
+    let snapshot = recorder.drain();
+
+    assert!(doc.len() >= 20_000, "{} elements", doc.len());
+    assert_eq!(doc.num_values(), 4000);
+    let parse_allocs = snapshot.span_alloc_count("parse_document");
+    assert!(
+        parse_allocs < 100,
+        "parse_document allocated {parse_allocs} times for {} elements",
+        doc.len()
+    );
+    let classes = stable.len() as u64;
+    let stable_allocs = snapshot.span_alloc_count("BUILDSTABLE");
+    assert!(
+        stable_allocs <= 4 * classes + 64,
+        "BUILDSTABLE allocated {stable_allocs} times for {classes} classes"
     );
 }
 

@@ -226,6 +226,12 @@ impl StableSummary {
 /// `BUILDSTABLE` (Fig. 4): builds the minimal count-stable summary in one
 /// post-order pass, hashing each element's `(label, child signature)`.
 ///
+/// Classes are numbered in first-seen post-order. The pass allocates
+/// per class, not per element: a leaf's class is looked up by label in
+/// a table, and an internal element's signature is written as a flat
+/// `[label, class₁, k₁, …]` into one reused buffer and looked up by
+/// slice, so its key is boxed only when it starts a new class.
+///
 /// ```
 /// use axqa_xml::parse_document;
 /// use axqa_synopsis::build_stable;
@@ -241,50 +247,63 @@ pub fn build_stable(doc: &Document) -> StableSummary {
     let _span = axqa_obs::span_with("BUILDSTABLE", "elements", doc.len() as u64);
     let mut nodes: Vec<StableNode> = Vec::new();
     let mut assignment = vec![SynNodeId(0); doc.len()];
-    // H[label, C] of the paper: signature → class id.
-    let mut table: FxHashMap<(LabelId, Vec<(SynNodeId, u32)>), SynNodeId> = FxHashMap::default();
-    // Reused scratch for building signatures.
-    let mut signature: Vec<(SynNodeId, u32)> = Vec::new();
+    // H[label, ∅] of the paper: the class of a leaf with each label.
+    let mut leaf_class: Vec<Option<SynNodeId>> = vec![None; doc.labels().len()];
+    // H[label, C] for internal elements: flat signature → class id.
+    let mut table: FxHashMap<Box<[u32]>, SynNodeId> = FxHashMap::default();
+    // Reused scratch: the children's classes, then the flat signature.
+    let mut child_classes: Vec<u32> = Vec::new();
+    let mut signature: Vec<u32> = Vec::new();
 
     for element in doc.post_order() {
-        signature.clear();
-        for child in doc.children(element) {
-            signature.push((assignment[child.index()], 0));
-        }
-        // Collapse duplicates into (class, count) pairs.
-        signature.sort_unstable_by_key(|&(t, _)| t);
-        let mut collapsed: Vec<(SynNodeId, u32)> = Vec::with_capacity(signature.len());
-        for &(class, _) in signature.iter() {
-            match collapsed.last_mut() {
-                Some(last) if last.0 == class => last.1 = last.1.saturating_add(1),
-                _ => collapsed.push((class, 1)),
-            }
-        }
         let label = doc.label(element);
-        let key = (label, collapsed);
-        let class = match table.get(&key) {
-            Some(&class) => {
-                nodes[class.index()].extent = nodes[class.index()].extent.saturating_add(1);
-                class
-            }
-            None => {
-                let id = SynNodeId(axqa_xml::dense_id(nodes.len()));
-                let depth = key
-                    .1
-                    .iter()
-                    .map(|&(t, _)| nodes[t.index()].depth.saturating_add(1))
-                    .max()
-                    .unwrap_or(0);
-                nodes.push(StableNode {
-                    label,
-                    extent: 1,
-                    children: key.1.clone(),
-                    depth,
-                });
-                table.insert(key, id);
+        // A label outside the document's table takes the hashed path.
+        let leaf_slot = if doc.is_leaf(element) {
+            leaf_class.get_mut(label.index())
+        } else {
+            None
+        };
+        let class = match leaf_slot {
+            Some(&mut Some(class)) => class,
+            Some(slot) => {
+                let id = push_class(&mut nodes, label, Vec::new());
+                *slot = Some(id);
                 id
             }
+            None => {
+                child_classes.clear();
+                child_classes.extend(doc.children(element).map(|c| assignment[c.index()].0));
+                child_classes.sort_unstable();
+                // Collapse duplicates into (class, count) pairs.
+                signature.clear();
+                signature.push(label.0);
+                let mut previous = None;
+                for &class in &child_classes {
+                    if previous == Some(class) {
+                        if let Some(k) = signature.last_mut() {
+                            *k = k.saturating_add(1);
+                        }
+                    } else {
+                        signature.extend([class, 1]);
+                        previous = Some(class);
+                    }
+                }
+                match table.get(signature.as_slice()) {
+                    Some(&class) => class,
+                    None => {
+                        let children = signature[1..]
+                            .chunks_exact(2)
+                            .map(|pair| (SynNodeId(pair[0]), pair[1]))
+                            .collect();
+                        let id = push_class(&mut nodes, label, children);
+                        table.insert(signature.as_slice().into(), id);
+                        id
+                    }
+                }
+            }
         };
+        let extent = &mut nodes[class.index()].extent;
+        *extent = extent.saturating_add(1);
         assignment[element.index()] = class;
     }
 
@@ -294,6 +313,27 @@ pub fn build_stable(doc: &Document) -> StableSummary {
         nodes,
         assignment,
     }
+}
+
+/// Appends a class with an empty extent to `nodes` and returns its id.
+fn push_class(
+    nodes: &mut Vec<StableNode>,
+    label: LabelId,
+    children: Vec<(SynNodeId, u32)>,
+) -> SynNodeId {
+    let id = SynNodeId(axqa_xml::dense_id(nodes.len()));
+    let depth = children
+        .iter()
+        .map(|&(t, _)| nodes[t.index()].depth.saturating_add(1))
+        .max()
+        .unwrap_or(0);
+    nodes.push(StableNode {
+        label,
+        extent: 0,
+        children,
+        depth,
+    });
+    id
 }
 
 #[cfg(test)]
@@ -445,5 +485,118 @@ mod tests {
         assert_eq!(root.count_to(a_class), 2);
         assert_eq!(root.count_to(SynNodeId(0)), 0);
         assert_eq!(root.fanout(), 2);
+    }
+}
+
+/// `BUILDSTABLE` as it was before signatures became flat slices: one
+/// collapsed `Vec` per element, hashed with its label as a tuple key.
+/// The differential tests below hold [`build_stable`] to its output.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn build_stable(doc: &Document) -> StableSummary {
+        let mut nodes: Vec<StableNode> = Vec::new();
+        let mut assignment = vec![SynNodeId(0); doc.len()];
+        let mut table: FxHashMap<(LabelId, Vec<(SynNodeId, u32)>), SynNodeId> =
+            FxHashMap::default();
+        let mut signature: Vec<(SynNodeId, u32)> = Vec::new();
+
+        for element in doc.post_order() {
+            signature.clear();
+            for child in doc.children(element) {
+                signature.push((assignment[child.index()], 0));
+            }
+            signature.sort_unstable_by_key(|&(t, _)| t);
+            let mut collapsed: Vec<(SynNodeId, u32)> = Vec::with_capacity(signature.len());
+            for &(class, _) in signature.iter() {
+                match collapsed.last_mut() {
+                    Some(last) if last.0 == class => last.1 = last.1.saturating_add(1),
+                    _ => collapsed.push((class, 1)),
+                }
+            }
+            let label = doc.label(element);
+            let key = (label, collapsed);
+            let class = match table.get(&key) {
+                Some(&class) => {
+                    nodes[class.index()].extent = nodes[class.index()].extent.saturating_add(1);
+                    class
+                }
+                None => {
+                    let id = SynNodeId(axqa_xml::dense_id(nodes.len()));
+                    let depth = key
+                        .1
+                        .iter()
+                        .map(|&(t, _)| nodes[t.index()].depth.saturating_add(1))
+                        .max()
+                        .unwrap_or(0);
+                    nodes.push(StableNode {
+                        label,
+                        extent: 1,
+                        children: key.1.clone(),
+                        depth,
+                    });
+                    table.insert(key, id);
+                    id
+                }
+            };
+            assignment[element.index()] = class;
+        }
+
+        StableSummary {
+            labels: doc.labels().clone(),
+            total_elements: doc.len() as u64,
+            nodes,
+            assignment,
+        }
+    }
+}
+
+#[cfg(test)]
+mod differential_tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// A random tree over a three-label alphabet with small fanouts, so
+    /// that equal subtrees (shared classes) are common.
+    fn random_document(rng: &mut StdRng) -> Document {
+        let mut doc = Document::new("r");
+        let mut frontier = vec![(doc.root(), 0u32)];
+        while let Some((node, depth)) = frontier.pop() {
+            let fanout = if depth >= 5 {
+                0
+            } else {
+                rng.gen_range(0..5usize)
+            };
+            for _ in 0..fanout {
+                let name = ["a", "b", "c"][rng.gen_range(0..3usize)];
+                let child = doc.add_child_named(node, name);
+                frontier.push((child, depth + 1));
+            }
+        }
+        doc
+    }
+
+    fn assert_same(doc: &Document) {
+        let new = build_stable(doc);
+        let old = reference::build_stable(doc);
+        assert_eq!(new.nodes(), old.nodes());
+        for element in doc.node_ids() {
+            assert_eq!(new.class_of(element), old.class_of(element));
+        }
+        assert_eq!(new.total_elements(), old.total_elements());
+        new.verify_against(doc).unwrap();
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn build_stable_matches_reference(seed in any::<u64>()) {
+            let doc = random_document(&mut StdRng::seed_from_u64(seed));
+            assert_same(&doc);
+        }
     }
 }

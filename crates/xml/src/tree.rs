@@ -208,7 +208,10 @@ impl Document {
     /// Post-order traversal of the whole document. `BUILDSTABLE` (§4.1)
     /// visits elements in exactly this order.
     pub fn post_order(&self) -> PostOrder<'_> {
-        PostOrder::new(self, self.root())
+        PostOrder {
+            doc: self,
+            next: self.leftmost_leaf(self.root().0),
+        }
     }
 
     /// Number of nodes in the subtree rooted at `node` (inclusive).
@@ -246,6 +249,17 @@ impl Document {
             depth[node.index()] = best;
         }
         depth
+    }
+
+    /// The first node of `node`'s subtree in post-order.
+    fn leftmost_leaf(&self, mut node: u32) -> u32 {
+        while let Some(data) = self.nodes.get(node as usize) {
+            if data.first_child == NONE {
+                break;
+            }
+            node = data.first_child;
+        }
+        node
     }
 
     /// Iterates all node ids in arena order (== creation order).
@@ -286,49 +300,42 @@ impl Iterator for PreOrder<'_> {
     fn next(&mut self) -> Option<NodeId> {
         let node = self.stack.pop()?;
         // Push children in reverse so the leftmost pops first.
-        let mut children: Vec<NodeId> = self.doc.children(node).collect();
-        children.reverse();
-        self.stack.extend(children);
+        let base = self.stack.len();
+        self.stack.extend(self.doc.children(node));
+        self.stack[base..].reverse();
         Some(node)
     }
 }
 
-/// Iterative post-order traversal (children before parents).
+/// Post-order traversal (children before parents), walked along the
+/// tree's own links: down first-child links to a leaf, then on to the
+/// next sibling's leftmost leaf, or up to the parent when there is no
+/// next sibling. It keeps no stack, so it allocates nothing.
 pub struct PostOrder<'a> {
     doc: &'a Document,
-    /// (node, expanded?) — a node is yielded when popped in expanded state.
-    stack: Vec<(NodeId, bool)>,
-}
-
-impl<'a> PostOrder<'a> {
-    fn new(doc: &'a Document, root: NodeId) -> Self {
-        PostOrder {
-            doc,
-            stack: vec![(root, false)],
-        }
-    }
+    /// The node `next` yields; `NONE` once the root (no sibling, no
+    /// parent) was yielded.
+    next: u32,
 }
 
 impl Iterator for PostOrder<'_> {
     type Item = NodeId;
 
+    #[inline]
     fn next(&mut self) -> Option<NodeId> {
-        loop {
-            let (node, expanded) = self.stack.pop()?;
-            if expanded {
-                return Some(node);
-            }
-            self.stack.push((node, true));
-            let base = self.stack.len();
-            self.stack
-                .extend(self.doc.children(node).map(|c| (c, false)));
-            self.stack[base..].reverse();
-        }
+        let node = self.next;
+        let data = self.doc.nodes.get(node as usize)?;
+        self.next = if data.next_sibling == NONE {
+            data.parent
+        } else {
+            self.doc.leftmost_leaf(data.next_sibling)
+        };
+        Some(NodeId(node))
     }
 }
 
 /// Stack-based builder for constructing documents top-down, used by the
-/// parser and the dataset generators.
+/// dataset generators.
 ///
 /// ```
 /// use axqa_xml::DocumentBuilder;
@@ -376,18 +383,6 @@ impl DocumentBuilder {
         let id = self.leaf(name);
         self.doc.set_value(id, value);
         id
-    }
-
-    /// Assigns a numeric value to the currently open element (used by
-    /// the parser when a leaf's text content is numeric).
-    pub fn set_current_value(&mut self, value: f64) {
-        let current = self.current();
-        self.doc.set_value(current, value);
-    }
-
-    /// Whether the currently open element has no children yet.
-    pub fn current_is_leaf(&self) -> bool {
-        self.doc.is_leaf(self.current())
     }
 
     /// Closes the current element.
@@ -542,6 +537,42 @@ mod tests {
             }
         }
         assert_eq!(*order.last().unwrap(), doc.root());
+    }
+
+    #[test]
+    fn traversals_match_their_recursive_definitions() {
+        fn pre(doc: &Document, n: NodeId, out: &mut Vec<NodeId>) {
+            out.push(n);
+            for c in doc.children(n) {
+                pre(doc, c, out);
+            }
+        }
+        fn post(doc: &Document, n: NodeId, out: &mut Vec<NodeId>) {
+            for c in doc.children(n) {
+                post(doc, c, out);
+            }
+            out.push(n);
+        }
+        // Children added level by level, so ids are not pre-order ranks.
+        let mut shuffled = Document::new("r");
+        let l = shuffled.intern("x");
+        let root = shuffled.root();
+        let [a, b, c] = [(); 3].map(|()| shuffled.add_child(root, l));
+        let a1 = shuffled.add_child(a, l);
+        shuffled.add_child(c, l);
+        shuffled.add_child(a, l);
+        shuffled.add_child(b, l);
+        shuffled.add_child(a1, l);
+        for doc in [figure1_document(), shuffled, Document::new("r")] {
+            for node in doc.node_ids() {
+                let mut expected = Vec::new();
+                pre(&doc, node, &mut expected);
+                assert_eq!(doc.subtree(node).collect::<Vec<_>>(), expected);
+            }
+            let mut expected = Vec::new();
+            post(&doc, doc.root(), &mut expected);
+            assert_eq!(doc.post_order().collect::<Vec<_>>(), expected);
+        }
     }
 
     #[test]
