@@ -11,8 +11,10 @@
 //! axqa summarize <doc.xml> --budget 10KB -o <sketch.ts> [--values f]
 //!                [--threads N]
 //!     Build the count-stable summary, compress it with TSBUILD, save;
-//!     --values additionally writes the value layer, --threads sets the
-//!     candidate-scoring worker count (default: all cores; 1 = serial).
+//!     --values additionally writes the value layer, --threads sets
+//!     TSBUILD's candidate-scoring worker count (default: all cores;
+//!     1 = serial). Parsing and BUILDSTABLE use the available cores
+//!     either way; their output does not depend on the core count.
 //!
 //! axqa estimate <sketch.ts> -q "q1: q0 //a[//b]; q2: q1 //p" [--values f]
 //!     Selectivity estimate from a saved synopsis (';' separates lines);

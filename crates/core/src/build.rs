@@ -29,13 +29,16 @@
 //!   This keeps pool generation near-linear on documents whose stable
 //!   summaries have thousands of same-label classes (the paper's own
 //!   `Uh` bound plays the same cost-control role).
-//! * Candidate scoring is sharded across [`BuildConfig::threads`] scoped
-//!   worker threads. Each worker scores its share of the level's label
-//!   groups into a local bounded worst-first heap; the local heaps are
-//!   merged under the candidates' *total* order (ratio via
-//!   `f64::total_cmp`, ties broken on the pair ids), so the surviving
-//!   top-`Uh` set — and therefore the whole build — is bit-identical to
-//!   the serial run. See DESIGN.md §4.6 for the determinism argument.
+//! * Candidate scoring fans out to [`BuildConfig::threads`] workers, the
+//!   calling thread among them. A level's candidate pairs are listed
+//!   once; the workers claim fixed-size runs of the list from a shared
+//!   cursor and score them into local bounded worst-first heaps, with
+//!   scratches the build keeps across levels and pool rebuilds. The
+//!   local heaps are merged under the candidates' *total* order (ratio
+//!   via `f64::total_cmp`, ties broken on the pair ids), so the
+//!   surviving top-`Uh` set — and therefore the whole build — is
+//!   bit-identical to the serial run. See DESIGN.md §4.6 for the
+//!   determinism argument.
 
 use crate::cluster::{ClusterState, PartitionSnapshot, ScoreScratch};
 use crate::queue::{MergeCandidate, MergeQueue, QueueStats};
@@ -44,6 +47,7 @@ use axqa_synopsis::{SizeModel, StableSummary};
 use axqa_xml::fxhash::FxHashMap;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
 /// Tuning knobs of TSBUILD.
 #[derive(Debug, Clone)]
@@ -203,12 +207,14 @@ fn ts_build_to_budget(
     let mut pool_rebuilds = 0usize;
     let mut queue_stats = QueueStats::default();
     let mut merge_log: Vec<(u32, u32)> = Vec::new();
-    // One scratch serves every lazy re-evaluation of this build; the
-    // CREATEPOOL workers carry their own.
+    // One scratch serves every lazy re-evaluation of this build and the
+    // calling thread's CREATEPOOL share; the other CREATEPOOL workers
+    // keep theirs for the whole build too.
     let mut scratch = ScoreScratch::new();
+    let mut worker_scratches: Vec<ScoreScratch> = Vec::new();
 
     while state.size_bytes() > budget_bytes {
-        let pool = create_pool(state, config, &mut scratch);
+        let pool = create_pool(state, config, &mut scratch, &mut worker_scratches);
         pool_rebuilds += 1;
         if pool.is_empty() {
             break; // label-split floor: nothing left to merge
@@ -313,9 +319,10 @@ pub fn ts_build_eager(
     let mut pool_rebuilds = 0usize;
     let mut merge_log: Vec<(u32, u32)> = Vec::new();
     let mut scratch = ScoreScratch::new();
+    let mut worker_scratches: Vec<ScoreScratch> = Vec::new();
 
     while state.size_bytes() > budget_bytes {
-        let pool = create_pool(&state, config, &mut scratch);
+        let pool = create_pool(&state, config, &mut scratch, &mut worker_scratches);
         pool_rebuilds += 1;
         if pool.is_empty() {
             break;
@@ -450,33 +457,37 @@ fn finalize_snapshots(snaps: &[PartitionSnapshot], config: &BuildConfig) -> Vec<
     out.into_iter().flatten().collect()
 }
 
-/// Minimum clusters at a level before scoring shards across workers;
-/// below this, thread-spawn overhead dominates the evaluate_merge work.
+/// Minimum clusters at a level before scoring fans out; below this,
+/// thread-spawn overhead dominates the evaluate_merge work.
 const PARALLEL_LEVEL_MIN: usize = 32;
+
+/// Candidate pairs a scoring worker claims at a time. A level fans out
+/// only when it has more than one claim's worth.
+const PAIRS_PER_CLAIM: usize = 32;
 
 /// `CREATEPOOL` (Fig. 6): bottom-up (by node depth) generation of at most
 /// `Uh` candidate merges, keeping the best ratios seen.
 ///
-/// Each level's label groups are sharded round-robin across
-/// [`BuildConfig::threads`] scoped workers; every worker scores its
-/// groups into a local bounded worst-first heap and the local heaps are
-/// merged under the candidates' total order. Because keeping the `Uh`
-/// smallest elements of a set under a total order is independent of
-/// visit order, the merged pool is identical to the serial one, and the
-/// level-by-level early exit (the paper's loop guard) is preserved by
-/// the per-level barrier.
+/// Each level's candidate pairs are listed once. On a large level,
+/// [`BuildConfig::threads`] workers (the calling thread among them)
+/// claim fixed-size runs of the list from a shared cursor and score
+/// them into local bounded worst-first heaps, each with a scratch the
+/// build keeps (`scratch` for the calling thread, `workers` for the
+/// others); the local heaps are then merged under the candidates' total
+/// order. Because keeping the `Uh` smallest elements of a set under a
+/// total order is independent of visit order, the merged pool is
+/// identical to the serial one, and the level-by-level early exit (the
+/// paper's loop guard) is preserved by the per-level barrier.
 fn create_pool(
     state: &ClusterState<'_>,
     config: &BuildConfig,
     scratch: &mut ScoreScratch,
+    workers: &mut Vec<ScoreScratch>,
 ) -> Vec<MergeCandidate> {
-    let _span = axqa_obs::span_with(
-        "CREATEPOOL",
-        "threads",
-        config.effective_threads().max(1) as u64,
-    );
+    let threads = config.effective_threads().max(1);
+    let _span = axqa_obs::span_with("CREATEPOOL", "threads", threads as u64);
     // Group live clusters by label; count clusters per depth so levels
-    // with no work are skipped and small levels stay serial.
+    // with no work are skipped.
     let mut by_label: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
     let mut max_depth = 0u32;
     let mut level_counts: Vec<usize> = Vec::new();
@@ -491,10 +502,11 @@ fn create_pool(
         level_counts[depth] += 1;
     }
     let groups: Vec<Vec<u32>> = by_label.into_values().collect();
-    let threads = config.effective_threads().max(1);
+    workers.resize_with(threads - 1, ScoreScratch::new);
 
     // Worst-ratio-on-top heap keeping the best `Uh` candidates.
     let mut best: BinaryHeap<WorstFirst> = BinaryHeap::new();
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
     for level in 0..=max_depth {
         let at_level = usize::try_from(level)
             .ok()
@@ -503,23 +515,31 @@ fn create_pool(
         if at_level == 0 {
             continue; // no cluster has max(depth) == level here
         }
-        if threads > 1 && groups.len() > 1 && at_level >= PARALLEL_LEVEL_MIN {
-            for local in score_level_parallel(state, config, level, &groups, threads) {
+        pairs.clear();
+        for group in &groups {
+            level_pairs(state, config, level, group, &mut pairs);
+        }
+        if threads > 1 && at_level >= PARALLEL_LEVEL_MIN && pairs.len() > PAIRS_PER_CLAIM {
+            for local in score_level_parallel(state, config, &pairs, scratch, workers) {
                 for worst in local {
                     bounded_push(&mut best, config.heap_upper, worst.0);
                 }
             }
         } else {
             let _score_span = axqa_obs::span_with("CREATEPOOL.score", "level", u64::from(level));
-            for group in &groups {
-                score_group(state, config, level, group, &mut best, scratch);
+            for &(a, b) in &pairs {
+                score_pair(state, config, &mut best, a, b, scratch);
             }
         }
         if best.len() >= config.heap_upper {
             break; // pool full and level exhausted (paper's loop guard)
         }
     }
-    best.into_iter().map(|w| w.0).collect()
+    // Sorted, because the heap's layout depends on which worker scored
+    // which pair, and `MergeQueue::from_pool` heapifies the pool as
+    // given: ties between its candidates and later re-evaluations of the
+    // same pair would otherwise pop in a timing-dependent order.
+    best.into_sorted_vec().into_iter().map(|w| w.0).collect()
 }
 
 /// Public `CREATEPOOL` (Fig. 6) entry point for harnesses that drive the
@@ -530,53 +550,61 @@ pub fn create_candidate_pool(
     config: &BuildConfig,
     scratch: &mut ScoreScratch,
 ) -> Vec<MergeCandidate> {
-    create_pool(state, config, scratch)
+    create_pool(state, config, scratch, &mut Vec::new())
 }
 
-/// One level of Fig. 6 scoring, sharded: worker `t` of `threads` scores
-/// groups `t, t+threads, …` into a local bounded heap.
+/// One level of Fig. 6 scoring, fanned out: the calling thread (with
+/// `scratch`) and one worker per scratch in `workers` claim
+/// [`PAIRS_PER_CLAIM`] pairs at a time until the list is done, each
+/// into a local bounded heap.
 fn score_level_parallel(
     state: &ClusterState<'_>,
     config: &BuildConfig,
-    level: u32,
-    groups: &[Vec<u32>],
-    threads: usize,
+    pairs: &[(u32, u32)],
+    scratch: &mut ScoreScratch,
+    workers: &mut [ScoreScratch],
 ) -> Vec<BinaryHeap<WorstFirst>> {
     // Utilization telemetry (DESIGN.md §12): wall time of the region vs
     // summed per-worker busy time. `parallel.capacity_us` is
     // wall × workers, so utilization = busy / capacity across regions.
     let region = axqa_obs::Stopwatch::start();
+    let cursor = AtomicUsize::new(0);
+    let score = |t: usize, scratch: &mut ScoreScratch| {
+        // Per-worker span: the worker's own thread id makes the
+        // parallel path visible lane by lane in the Chrome trace.
+        let _span = axqa_obs::span_with("CREATEPOOL.score", "worker", t as u64);
+        let busy = axqa_obs::Stopwatch::start();
+        let mut local: BinaryHeap<WorstFirst> = BinaryHeap::new();
+        let mut items = 0u64;
+        loop {
+            let start = cursor.fetch_add(PAIRS_PER_CLAIM, AtomicOrdering::Relaxed);
+            let Some(claim) = pairs.get(start..) else {
+                break;
+            };
+            for &(a, b) in claim.iter().take(PAIRS_PER_CLAIM) {
+                score_pair(state, config, &mut local, a, b, scratch);
+            }
+            items = items.saturating_add(1);
+        }
+        axqa_obs::counter("parallel.busy_us", busy.elapsed_us());
+        axqa_obs::observe("parallel.worker_items", items);
+        local
+    };
+    let score = &score;
     let scope_result = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move |_| {
-                    // Per-worker span: the worker's own thread id makes
-                    // the PR-2 parallel path visible lane-by-lane in the
-                    // Chrome trace (ISSUE 4 acceptance).
-                    let _span = axqa_obs::span_with("CREATEPOOL.score", "worker", t as u64);
-                    let busy = axqa_obs::Stopwatch::start();
-                    // Each worker owns its scratch: no sharing, no locks,
-                    // and the scoring arithmetic stays order-identical.
-                    let mut scratch = ScoreScratch::new();
-                    let mut local: BinaryHeap<WorstFirst> = BinaryHeap::new();
-                    let mut items = 0u64;
-                    for group in groups.iter().skip(t).step_by(threads) {
-                        score_group(state, config, level, group, &mut local, &mut scratch);
-                        items = items.saturating_add(1);
-                    }
-                    axqa_obs::counter("parallel.busy_us", busy.elapsed_us());
-                    axqa_obs::observe("parallel.worker_items", items);
-                    local
-                })
-            })
+        let handles: Vec<_> = workers
+            .iter_mut()
+            .enumerate()
+            .map(|(t, scratch)| scope.spawn(move |_| score(t + 1, scratch)))
             .collect();
-        handles
-            .into_iter()
-            .map(|handle| match handle.join() {
-                Ok(local) => local,
+        let mut locals = vec![score(0, scratch)];
+        for handle in handles {
+            match handle.join() {
+                Ok(local) => locals.push(local),
                 Err(_) => panic!("CREATEPOOL scoring worker panicked"),
-            })
-            .collect::<Vec<_>>()
+            }
+        }
+        locals
     });
     let locals = match scope_result {
         Ok(locals) => locals,
@@ -587,21 +615,20 @@ fn score_level_parallel(
     axqa_obs::counter("parallel.wall_us", wall_us);
     axqa_obs::counter(
         "parallel.capacity_us",
-        wall_us.saturating_mul(threads as u64),
+        wall_us.saturating_mul(locals.len() as u64),
     );
     locals
 }
 
-/// Scores one label group at one level (Fig. 6 inner loop) into `best`:
-/// all pairs while the group is small, sliding-window neighbor pairs
-/// over the structural-key order otherwise.
-fn score_group(
+/// Lists one label group's candidate pairs at one level (Fig. 6 inner
+/// loop) into `pairs`: all pairs while the group is small, sliding-window
+/// neighbor pairs over the structural-key order otherwise.
+fn level_pairs(
     state: &ClusterState<'_>,
     config: &BuildConfig,
     level: u32,
     group: &[u32],
-    best: &mut BinaryHeap<WorstFirst>,
-    scratch: &mut ScoreScratch,
+    pairs: &mut Vec<(u32, u32)>,
 ) {
     // Pairs with max(depth) == level: one side at `level`, the other at
     // ≤ `level`.
@@ -620,12 +647,8 @@ fn score_group(
         .collect();
     if at.len() + below.len() <= config.group_all_pairs_cap {
         for (i, &a) in at.iter().enumerate() {
-            for &b in &at[i + 1..] {
-                score_pair(state, config, best, a, b, scratch);
-            }
-            for &b in &below {
-                score_pair(state, config, best, a, b, scratch);
-            }
+            pairs.extend(at[i + 1..].iter().map(|&b| (a, b)));
+            pairs.extend(below.iter().map(|&b| (a, b)));
         }
     } else {
         // Large group: sort by a cheap structural key, pair within a
@@ -638,7 +661,7 @@ fn score_group(
                 // Skip pairs entirely below the level (they were
                 // proposed at their own level).
                 if state.cluster(a).depth.max(state.cluster(b).depth) == level {
-                    score_pair(state, config, best, a, b, scratch);
+                    pairs.push((a, b));
                 }
             }
         }
@@ -891,6 +914,30 @@ mod tests {
             for (sn, pn) in s.sketch.nodes().iter().zip(p.sketch.nodes()) {
                 assert_eq!(sn, pn, "budget {budget}");
             }
+        }
+    }
+
+    #[test]
+    fn pool_order_does_not_depend_on_threads() {
+        // MergeQueue::from_pool heapifies the pool as given, so the
+        // vector, not only its set of candidates, must be the serial one.
+        let doc = many_class_doc();
+        let stable = build_stable(&doc);
+        let state = ClusterState::new(&stable, SizeModel::TREESKETCH);
+        let mut serial = BuildConfig::with_budget(1);
+        serial.threads = 1;
+        let mut parallel = serial.clone();
+        parallel.threads = test_threads();
+        let pool = |config: &BuildConfig| -> Vec<(u64, u32, u32, u64, u64)> {
+            create_pool(&state, config, &mut ScoreScratch::new(), &mut Vec::new())
+                .iter()
+                .map(|c| (c.ratio.to_bits(), c.a, c.b, c.version_a, c.version_b))
+                .collect()
+        };
+        let expected = pool(&serial);
+        assert!(expected.len() > PAIRS_PER_CLAIM);
+        for _ in 0..8 {
+            assert_eq!(pool(&parallel), expected);
         }
     }
 

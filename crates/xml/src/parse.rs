@@ -5,16 +5,31 @@
 //! comments, processing instructions, an XML declaration, CDATA sections
 //! and a DOCTYPE line (all skipped). Namespaces are treated as part of the
 //! tag string. Anything structurally ill-formed is an [`XmlError`].
+//!
+//! Inputs of one MiB or more are parsed in chunks on every core
+//! (`parse/chunked.rs`, DESIGN.md §15); the result is the serial parse's, bit
+//! for bit, errors included.
+
+mod chunked;
 
 use crate::error::XmlError;
-use crate::label::LabelId;
+use crate::label::{LabelId, LabelTable};
 use crate::tree::{Document, NodeId};
+
+/// Input bytes per parse worker, at the least. On two cores the chunked
+/// parse won every measured round against the serial one from 1.1 MiB of
+/// input up, was mixed from 0.4 to 0.9 MiB and lost at 0.2 MiB
+/// (DESIGN.md §15).
+const BYTES_PER_WORKER: usize = 1 << 19;
 
 /// Parses `input` into a [`Document`] holding the element structure.
 ///
 /// Nothing is allocated per element: tag names stay slices of `input`,
 /// a close tag is matched by comparing bytes with the innermost open
-/// name, and only an [`XmlError`] builds `String`s.
+/// name, and only an [`XmlError`] builds `String`s. An input of at
+/// least one MiB is split into up to one chunk per available core (one
+/// per 512 KiB at most); the chunks are parsed at once and stitched in
+/// order, and the result is the same as one thread's, errors included.
 ///
 /// ```
 /// use axqa_xml::parse_document;
@@ -24,44 +39,45 @@ use crate::tree::{Document, NodeId};
 /// assert_eq!(doc.label_name(doc.root()), "bib");
 /// ```
 pub fn parse_document(input: &str) -> Result<Document, XmlError> {
-    let bytes = input.as_bytes();
-    let mut pos = 0usize;
-    let mut doc: Option<Document> = None;
-    let mut tags = TagCache::default();
-    // Elements currently open, innermost last, with their tag names.
-    let mut open: Vec<(NodeId, &str)> = Vec::new();
-    let mut root_closed = false;
+    // Size first: asking for the core count reads the cgroup files.
+    let workers = match input.len() / BYTES_PER_WORKER {
+        0 | 1 => 1,
+        most => std::thread::available_parallelism().map_or(1, |n| n.get().min(most)),
+    };
+    if workers < 2 {
+        return parse_serial(input, 0, None, Vec::new());
+    }
+    let step = input.len() / workers;
+    let cuts: Vec<usize> = (1..workers).map(|i| i * step).collect();
+    chunked::parse(input, &cuts)
+}
 
+/// The serial parse from byte `pos`, given the document built so far
+/// (`None` before the root) and the elements open at `pos`, outermost
+/// first. `pos` must be where an event starts.
+fn parse_serial<'a>(
+    input: &'a str,
+    mut pos: usize,
+    mut doc: Option<Document>,
+    mut open: Vec<(NodeId, &'a str)>,
+) -> Result<Document, XmlError> {
+    let mut tags = TagCache::default();
     // Start of the text run since the last markup event (numeric leaf
     // text becomes the element's value; everything else is skipped).
     let mut text_start: Option<usize> = None;
 
-    while pos < bytes.len() {
-        let rest = &bytes[pos..];
-        if rest[0] != b'<' {
-            // Character data: remembered only to check for a numeric
-            // leaf value at the next closing tag.
-            text_start = Some(pos);
-            pos = input[pos..].find('<').map_or(bytes.len(), |i| pos + i);
-            continue;
-        }
-        match rest.get(1) {
-            Some(b'!') if rest.starts_with(b"<!--") => {
-                pos = skip_until(input, pos + 4, "-->", "unterminated comment")?;
+    while pos < input.len() {
+        let (event, next) = next_event(input, pos)?;
+        match event {
+            Event::Text => {
+                // Character data: remembered only to check for a numeric
+                // leaf value at the next closing tag.
+                text_start = Some(pos);
+                pos = next;
+                continue;
             }
-            Some(b'!') if rest.starts_with(b"<![CDATA[") => {
-                pos = skip_until(input, pos + 9, "]]>", "unterminated CDATA section")?;
-            }
-            Some(b'!') => {
-                // DOCTYPE or other declaration: skip to the matching '>'.
-                pos = skip_until(input, pos + 2, ">", "unterminated declaration")?;
-            }
-            Some(b'?') => {
-                pos = skip_until(input, pos + 2, "?>", "unterminated processing instruction")?;
-            }
-            Some(b'/') => {
-                let (tag, end) = read_name(input, pos + 2)?;
-                let close_at = find_gt(input, end)?;
+            Event::Skip => {}
+            Event::Close(tag) => {
                 let Some((node, expected)) = open.pop() else {
                     return Err(XmlError::Malformed {
                         message: format!("closing tag </{tag}> with no open element"),
@@ -90,17 +106,8 @@ pub fn parse_document(input: &str) -> Result<Document, XmlError> {
                         }
                     }
                 }
-                root_closed = open.is_empty();
-                pos = close_at + 1;
             }
-            _ => {
-                // Opening or self-closing tag.
-                let (tag, after_name) = read_name(input, pos + 1)?;
-                let gt = find_gt(input, after_name)?;
-                let self_closing = bytes[gt - 1] == b'/';
-                if root_closed {
-                    return Err(XmlError::MultipleRoots { offset: pos });
-                }
+            Event::Open { tag, self_closing } => {
                 let node = match doc.as_mut() {
                     None => {
                         let root = Document::new(tag);
@@ -109,21 +116,20 @@ pub fn parse_document(input: &str) -> Result<Document, XmlError> {
                         id
                     }
                     Some(d) => {
+                        // An empty stack after the root: it was closed.
                         let Some(&(parent, _)) = open.last() else {
                             return Err(XmlError::MultipleRoots { offset: pos });
                         };
-                        let label = tags.intern(d, tag);
+                        let label = tags.intern(d.labels_mut(), tag);
                         d.add_child(parent, label)
                     }
                 };
                 if !self_closing {
                     open.push((node, tag));
-                } else if open.is_empty() {
-                    root_closed = true;
                 }
-                pos = gt + 1;
             }
         }
+        pos = next;
         text_start = None;
     }
 
@@ -134,6 +140,57 @@ pub fn parse_document(input: &str) -> Result<Document, XmlError> {
         });
     }
     Ok(doc)
+}
+
+/// One lexical event of the input.
+#[derive(Debug, Clone, Copy)]
+enum Event<'a> {
+    /// Character data, up to the next `<` or the end.
+    Text,
+    /// A comment, CDATA section, declaration or processing instruction.
+    Skip,
+    /// A closing tag.
+    Close(&'a str),
+    /// An opening or self-closing tag.
+    Open { tag: &'a str, self_closing: bool },
+}
+
+/// Reads the event starting at `pos` (`pos < input.len()`) and returns
+/// it with the position just past it. Markup is dispatched on its
+/// second byte; a text run is skipped with `str::find('<')`.
+#[inline(always)]
+fn next_event(input: &str, pos: usize) -> Result<(Event<'_>, usize), XmlError> {
+    let bytes = input.as_bytes();
+    let rest = &bytes[pos..];
+    if rest[0] != b'<' {
+        let end = input[pos..].find('<').map_or(bytes.len(), |i| pos + i);
+        return Ok((Event::Text, end));
+    }
+    let end = match rest.get(1) {
+        Some(b'!') if rest.starts_with(b"<!--") => {
+            skip_until(input, pos + 4, "-->", "unterminated comment")?
+        }
+        Some(b'!') if rest.starts_with(b"<![CDATA[") => {
+            skip_until(input, pos + 9, "]]>", "unterminated CDATA section")?
+        }
+        Some(b'!') => {
+            // DOCTYPE or other declaration: skip to the matching '>'.
+            skip_until(input, pos + 2, ">", "unterminated declaration")?
+        }
+        Some(b'?') => skip_until(input, pos + 2, "?>", "unterminated processing instruction")?,
+        Some(b'/') => {
+            let (tag, end) = read_name(input, pos + 2)?;
+            let close_at = find_gt(input, end)?;
+            return Ok((Event::Close(tag), close_at + 1));
+        }
+        _ => {
+            let (tag, after_name) = read_name(input, pos + 1)?;
+            let gt = find_gt(input, after_name)?;
+            let self_closing = bytes[gt - 1] == b'/';
+            return Ok((Event::Open { tag, self_closing }, gt + 1));
+        }
+    };
+    Ok((Event::Skip, end))
 }
 
 /// Slots of the [`TagCache`]: a document's tag vocabulary is small.
@@ -157,8 +214,8 @@ impl Default for TagCache {
 }
 
 impl TagCache {
-    /// The label of `name` in `doc`, interning it on a miss.
-    fn intern(&mut self, doc: &mut Document, name: &str) -> LabelId {
+    /// The label of `name` in `labels`, interning it on a miss.
+    fn intern(&mut self, labels: &mut LabelTable, name: &str) -> LabelId {
         let bytes = name.as_bytes();
         let byte = |i: usize| u64::from(bytes.get(i).copied().unwrap_or(0));
         let len = bytes.len();
@@ -166,9 +223,9 @@ impl TagCache {
         let mixed = (key | (len as u64) << 32).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let slot = &mut self.slots[usize::from(mixed.to_be_bytes()[0])];
         match *slot {
-            Some(label) if doc.labels().name(label) == name => label,
+            Some(label) if labels.name(label) == name => label,
             _ => {
-                let label = doc.intern(name);
+                let label = labels.intern(name);
                 *slot = Some(label);
                 label
             }
@@ -180,30 +237,34 @@ impl TagCache {
 fn skip_until(input: &str, from: usize, needle: &str, what: &str) -> Result<usize, XmlError> {
     match input[from..].find(needle) {
         Some(i) => Ok(from + i + needle.len()),
-        None => Err(XmlError::Malformed {
-            message: what.to_owned(),
-            offset: from,
-        }),
+        None => Err(malformed(what, from)),
     }
+}
+
+/// A [`XmlError::Malformed`], built off the hot path.
+#[cold]
+fn malformed(message: &str, offset: usize) -> XmlError {
+    XmlError::Malformed {
+        message: message.to_owned(),
+        offset,
+    }
+}
+
+/// Whether `b` may appear in a tag name.
+#[inline]
+fn is_name_byte(b: u8) -> bool {
+    b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':')
 }
 
 /// Reads a tag name starting at `from`; returns (name, position after it).
 fn read_name(input: &str, from: usize) -> Result<(&str, usize), XmlError> {
     let bytes = input.as_bytes();
     let mut end = from;
-    while end < bytes.len() {
-        let b = bytes[end];
-        let is_name = b.is_ascii_alphanumeric() || matches!(b, b'_' | b'-' | b'.' | b':');
-        if !is_name {
-            break;
-        }
+    while end < bytes.len() && is_name_byte(bytes[end]) {
         end += 1;
     }
     if end == from {
-        return Err(XmlError::Malformed {
-            message: "expected tag name".to_owned(),
-            offset: from,
-        });
+        return Err(malformed("expected tag name", from));
     }
     Ok((&input[from..end], end))
 }
@@ -224,12 +285,7 @@ fn find_gt(input: &str, from: usize) -> Result<usize, XmlError> {
             None => match b {
                 b'"' | b'\'' => quote = Some(b),
                 b'>' => return Ok(pos),
-                b'<' => {
-                    return Err(XmlError::Malformed {
-                        message: "'<' inside tag".to_owned(),
-                        offset: pos,
-                    });
-                }
+                b'<' => return Err(malformed("'<' inside tag", pos)),
                 _ => {}
             },
         }
@@ -558,22 +614,18 @@ mod differential_tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// Label names, arena rows `(label, parent, value bits)` in creation
-    /// order: together they pin structure, sibling order, label ids and
-    /// values (NaN included).
-    type Shape = (Vec<String>, Vec<(u32, Option<u32>, Option<u64>)>);
+    /// Label names and arena rows (every link of the node, and its value
+    /// bits) in creation order: together they pin structure, sibling
+    /// order, label ids and values (NaN included).
+    type Shape = (Vec<String>, Vec<([u32; 5], Option<u64>)>);
 
     fn shape(doc: &Document) -> Shape {
         let labels = doc.labels().iter().map(|(_, n)| n.to_owned()).collect();
         let rows = doc
-            .node_ids()
-            .map(|n| {
-                (
-                    doc.label(n).0,
-                    doc.parent(n).map(|p| p.0),
-                    doc.value(n).map(f64::to_bits),
-                )
-            })
+            .slots()
+            .iter()
+            .zip(doc.node_ids())
+            .map(|(&slot, n)| (slot, doc.value(n).map(f64::to_bits)))
             .collect();
         (labels, rows)
     }
@@ -584,6 +636,14 @@ mod differential_tests {
         let new = parse_document(input).map(|d| shape(&d));
         let old = reference::parse_document(input).map(|d| shape(&d));
         assert_eq!(new, old, "parsers disagree on {input:?}");
+    }
+
+    /// Parses `input` in chunks cut at `cuts` and requires the serial
+    /// parser's `Result`, which `assert_same` holds to the reference.
+    fn assert_chunked_same(input: &str, cuts: &[usize]) {
+        let chunked = chunked::parse(input, cuts).map(|d| shape(&d));
+        let serial = parse_serial(input, 0, None, Vec::new()).map(|d| shape(&d));
+        assert_eq!(chunked, serial, "cuts {cuts:?} disagree on {input:?}");
     }
 
     const NAMES: [&str; 6] = ["a", "ab", "b", "x", "ns:t", "a.b-c_1"];
@@ -747,8 +807,93 @@ mod differential_tests {
         }
     }
 
+    #[test]
+    fn chunked_parse_is_serial_at_every_cut() {
+        let mut rng = StdRng::seed_from_u64(0xC0FFEE);
+        let mut inputs = vec![
+            "<r><a x='<b>'>1</a><!-- <c/> --><![CDATA[<a/>]]><?p <q?><b/></r>".to_owned(),
+            "<?xml version=\"1.0\"?><!DOCTYPE r><r/>".to_owned(),
+            "<r><t>NaN</t><t>2004</t><u><v>7</v></u></r>".to_owned(),
+            "<a><b></a></b>".to_owned(),
+            "<a/><b/>".to_owned(),
+            "<a><b>".to_owned(),
+        ];
+        inputs.extend((0..48).map(|_| random_xml(&mut rng)));
+        for input in &inputs {
+            assert_same(input);
+            for cut in 0..=input.len() {
+                assert_chunked_same(input, &[cut]);
+            }
+        }
+    }
+
+    #[test]
+    fn refused_threads_fall_back_to_the_serial_parse() {
+        // Three chunks: the counting pass spawns two threads, then the
+        // parse two more. Refusing each in turn leaves the serial result.
+        let input = "<r><a x='1'>2</a><b><c/>3</b><a/><b><c/><c/></b><d>4</d></r>";
+        let cuts = [input.len() / 3, 2 * input.len() / 3];
+        for allowed in 0..=4 {
+            chunked::SPAWNS_LEFT.with(|left| left.set(allowed));
+            assert_chunked_same(input, &cuts);
+            // The counter ran out: the fan-outs asked for at least
+            // `allowed` threads.
+            assert_eq!(chunked::SPAWNS_LEFT.with(|left| left.get()), 0);
+        }
+        chunked::SPAWNS_LEFT.with(|left| left.set(usize::MAX));
+    }
+
+    #[test]
+    fn large_inputs_parse_in_chunks() {
+        // Past one MiB, so parse_document cuts it on a multi-core host.
+        let mut src = String::from("<r>");
+        let mut i = 0u32;
+        while src.len() < 5 << 20 {
+            src.push_str(&format!(
+                "<p id='{i}'><y>{}</y><t>x</t><!-- <k/> --><n{}/></p>",
+                i % 97,
+                i % 13
+            ));
+            i += 1;
+        }
+        src.push_str("</r>");
+        let doc = parse_document(&src).unwrap();
+        assert_eq!(doc.len(), 1 + 4 * i as usize);
+        assert_eq!(
+            shape(&doc),
+            shape(&parse_serial(&src, 0, None, Vec::new()).unwrap())
+        );
+        let truncated = &src[..src.len() - 2];
+        assert_eq!(
+            parse_document(truncated).unwrap_err(),
+            parse_serial(truncated, 0, None, Vec::new()).unwrap_err()
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn chunked_parse_is_serial_on_mutated_documents(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let text = random_xml(&mut rng);
+            let other = random_xml(&mut rng);
+            let mut inputs = vec![text.clone()];
+            if let Ok(doc) = parse_document(&text) {
+                inputs.push(write_document(&doc));
+            }
+            for input in &inputs {
+                for _ in 0..16 {
+                    let mutated = mutate(&mut rng, input, &other);
+                    let chunks = rng.gen_range(2..=5usize);
+                    let mut cuts: Vec<usize> = (1..chunks)
+                        .map(|_| rng.gen_range(0..=mutated.len()))
+                        .collect();
+                    cuts.sort_unstable();
+                    assert_chunked_same(&mutated, &cuts);
+                }
+            }
+        }
 
         #[test]
         fn parse_matches_reference_on_mutated_documents(seed in any::<u64>()) {

@@ -20,15 +20,36 @@ impl NodeId {
     }
 }
 
-const NONE: u32 = u32::MAX;
+/// An absent link.
+pub(crate) const NONE: u32 = u32::MAX;
 
-#[derive(Debug, Clone)]
-struct NodeData {
-    label: LabelId,
-    parent: u32,
-    first_child: u32,
-    last_child: u32,
-    next_sibling: u32,
+/// One arena slot: `[label, parent, first child, last child, next
+/// sibling]`, indexed by the constants below, with [`NONE`] for an
+/// absent link. Plain `u32`s rather than a struct so that an arena can
+/// be allocated zeroed (`vec![[0; 5]; n]`, one `calloc`): its pages are
+/// then first touched by whichever thread fills them (DESIGN.md §15).
+pub(crate) type NodeData = [u32; 5];
+pub(crate) const LABEL: usize = 0;
+pub(crate) const PARENT: usize = 1;
+pub(crate) const FIRST_CHILD: usize = 2;
+pub(crate) const LAST_CHILD: usize = 3;
+pub(crate) const NEXT_SIBLING: usize = 4;
+
+/// Appends node `id` (a fresh slot already holding its label) to the
+/// children of `parent`. Both are ids of the arena whose first slot is
+/// `nodes[0]` = id `base`.
+#[inline]
+pub(crate) fn link_child(nodes: &mut [NodeData], base: u32, parent: u32, id: u32) {
+    let slot = |node: u32| (node - base) as usize;
+    nodes[slot(id)][PARENT] = parent;
+    let pdata = &mut nodes[slot(parent)];
+    let prev = pdata[LAST_CHILD];
+    pdata[LAST_CHILD] = id;
+    if prev == NONE {
+        pdata[FIRST_CHILD] = id;
+    } else {
+        nodes[slot(prev)][NEXT_SIBLING] = id;
+    }
 }
 
 /// A node-labeled ordered tree with interned labels.
@@ -51,15 +72,34 @@ impl Document {
         let label = labels.intern(root_label);
         Document {
             labels,
-            nodes: vec![NodeData {
-                label,
-                parent: NONE,
-                first_child: NONE,
-                last_child: NONE,
-                next_sibling: NONE,
-            }],
+            nodes: vec![[label.0, NONE, NONE, NONE, NONE]],
             values: Vec::new(),
         }
+    }
+
+    /// A document over a filled arena whose node 0 is the root; `values`
+    /// must be sorted by node id.
+    pub(crate) fn from_parts(
+        labels: LabelTable,
+        nodes: Vec<NodeData>,
+        values: Vec<(u32, f64)>,
+    ) -> Self {
+        Document {
+            labels,
+            nodes,
+            values,
+        }
+    }
+
+    /// The arena slots, for tests that compare documents bit for bit.
+    #[cfg(test)]
+    pub(crate) fn slots(&self) -> &[NodeData] {
+        &self.nodes
+    }
+
+    /// The label table, for interning through a cache in front of it.
+    pub(crate) fn labels_mut(&mut self) -> &mut LabelTable {
+        &mut self.labels
     }
 
     /// The numeric value of `node`, if one was assigned.
@@ -115,7 +155,7 @@ impl Document {
     /// The label id of `node`.
     #[inline]
     pub fn label(&self, node: NodeId) -> LabelId {
-        self.nodes[node.index()].label
+        LabelId(self.nodes[node.index()][LABEL])
     }
 
     /// The tag string of `node`.
@@ -127,14 +167,14 @@ impl Document {
     /// The parent of `node`, or `None` for the root.
     #[inline]
     pub fn parent(&self, node: NodeId) -> Option<NodeId> {
-        let p = self.nodes[node.index()].parent;
+        let p = self.nodes[node.index()][PARENT];
         (p != NONE).then_some(NodeId(p))
     }
 
     /// Whether `node` has no children.
     #[inline]
     pub fn is_leaf(&self, node: NodeId) -> bool {
-        self.nodes[node.index()].first_child == NONE
+        self.nodes[node.index()][FIRST_CHILD] == NONE
     }
 
     /// Appends a child labeled `label` under `parent`, returning its id.
@@ -150,22 +190,8 @@ impl Document {
             // unrepresentable and aborting beats aliasing node ids.
             Err(_) => panic!("document overflow: more than u32::MAX nodes"),
         };
-        self.nodes.push(NodeData {
-            label,
-            parent: parent.0,
-            first_child: NONE,
-            last_child: NONE,
-            next_sibling: NONE,
-        });
-        let pdata = &mut self.nodes[parent.index()];
-        if pdata.last_child == NONE {
-            pdata.first_child = id;
-            pdata.last_child = id;
-        } else {
-            let prev = pdata.last_child;
-            pdata.last_child = id;
-            self.nodes[prev as usize].next_sibling = id;
-        }
+        self.nodes.push([label.0, NONE, NONE, NONE, NONE]);
+        link_child(&mut self.nodes, 0, parent.0, id);
         NodeId(id)
     }
 
@@ -180,7 +206,7 @@ impl Document {
     pub fn children(&self, node: NodeId) -> Children<'_> {
         Children {
             doc: self,
-            next: self.nodes[node.index()].first_child,
+            next: self.nodes[node.index()][FIRST_CHILD],
         }
     }
 
@@ -253,11 +279,11 @@ impl Document {
 
     /// The first node of `node`'s subtree in post-order.
     fn leftmost_leaf(&self, mut node: u32) -> u32 {
-        while let Some(data) = self.nodes.get(node as usize) {
-            if data.first_child == NONE {
+        while let Some(&[_, _, first_child, _, _]) = self.nodes.get(node as usize) {
+            if first_child == NONE {
                 break;
             }
-            node = data.first_child;
+            node = first_child;
         }
         node
     }
@@ -283,7 +309,7 @@ impl Iterator for Children<'_> {
             return None;
         }
         let id = NodeId(self.next);
-        self.next = self.doc.nodes[id.index()].next_sibling;
+        self.next = self.doc.nodes[id.index()][NEXT_SIBLING];
         Some(id)
     }
 }
@@ -324,11 +350,11 @@ impl Iterator for PostOrder<'_> {
     #[inline]
     fn next(&mut self) -> Option<NodeId> {
         let node = self.next;
-        let data = self.doc.nodes.get(node as usize)?;
-        self.next = if data.next_sibling == NONE {
-            data.parent
+        let &[_, parent, _, _, next_sibling] = self.doc.nodes.get(node as usize)?;
+        self.next = if next_sibling == NONE {
+            parent
         } else {
-            self.doc.leftmost_leaf(data.next_sibling)
+            self.doc.leftmost_leaf(next_sibling)
         };
         Some(NodeId(node))
     }
