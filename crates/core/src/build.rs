@@ -41,13 +41,13 @@
 //!   determinism argument.
 
 use crate::cluster::{ClusterState, PartitionSnapshot, ScoreScratch};
+use crate::parallel;
 use crate::queue::{MergeCandidate, MergeQueue, QueueStats};
 use crate::sketch::TreeSketch;
 use axqa_synopsis::{SizeModel, StableSummary};
 use axqa_xml::fxhash::FxHashMap;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
 /// Tuning knobs of TSBUILD.
 #[derive(Debug, Clone)]
@@ -95,11 +95,7 @@ impl BuildConfig {
     /// `threads` if positive, otherwise the machine's available
     /// parallelism.
     pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        }
+        axqa_xml::threads::resolve(self.threads)
     }
 }
 
@@ -418,43 +414,13 @@ pub fn ts_build_sweep(
 /// per-budget finalization work across the Fig. 5 worker pool.
 fn finalize_snapshots(snaps: &[PartitionSnapshot], config: &BuildConfig) -> Vec<TreeSketch> {
     let _span = axqa_obs::span_with("TSBUILD.finalize_sweep", "snapshots", snaps.len() as u64);
-    let threads = config.effective_threads().max(1).min(snaps.len());
-    if threads <= 1 || snaps.len() <= 1 {
-        return snaps.iter().map(PartitionSnapshot::finalize).collect();
-    }
-    let scope_result = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move |_| {
-                    snaps
-                        .iter()
-                        .enumerate()
-                        .skip(t)
-                        .step_by(threads)
-                        .map(|(i, snap)| (i, snap.finalize()))
-                        .collect::<Vec<(usize, TreeSketch)>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| match handle.join() {
-                Ok(chunk) => chunk,
-                Err(_) => panic!("sweep finalization worker panicked"),
-            })
-            .collect::<Vec<_>>()
-    });
-    let chunks = match scope_result {
-        Ok(chunks) => chunks,
-        Err(_) => panic!("sweep finalization scope failed"),
-    };
-    let mut out: Vec<Option<TreeSketch>> = (0..snaps.len()).map(|_| None).collect();
-    for chunk in chunks {
-        for (index, sketch) in chunk {
-            out[index] = Some(sketch);
-        }
-    }
-    out.into_iter().flatten().collect()
+    let mut lanes = vec![(); config.effective_threads()];
+    parallel::map_indexed(&mut lanes, snaps.len(), |(), i| {
+        snaps.get(i).map(PartitionSnapshot::finalize)
+    })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// Minimum clusters at a level before scoring fans out; below this,
@@ -520,11 +486,7 @@ fn create_pool(
             level_pairs(state, config, level, group, &mut pairs);
         }
         if threads > 1 && at_level >= PARALLEL_LEVEL_MIN && pairs.len() > PAIRS_PER_CLAIM {
-            for local in score_level_parallel(state, config, &pairs, scratch, workers) {
-                for worst in local {
-                    bounded_push(&mut best, config.heap_upper, worst.0);
-                }
-            }
+            score_level_parallel(state, config, &pairs, scratch, workers, &mut best);
         } else {
             let _score_span = axqa_obs::span_with("CREATEPOOL.score", "level", u64::from(level));
             for &(a, b) in &pairs {
@@ -553,71 +515,39 @@ pub fn create_candidate_pool(
     create_pool(state, config, scratch, &mut Vec::new())
 }
 
-/// One level of Fig. 6 scoring, fanned out: the calling thread (with
-/// `scratch`) and one worker per scratch in `workers` claim
+/// One level of Fig. 6 scoring on the claim loop: the calling thread
+/// (with `scratch`) and one worker per scratch in `workers` claim
 /// [`PAIRS_PER_CLAIM`] pairs at a time until the list is done, each
-/// into a local bounded heap.
+/// into a local bounded heap, and the local heaps are merged into
+/// `best`.
 fn score_level_parallel(
     state: &ClusterState<'_>,
     config: &BuildConfig,
     pairs: &[(u32, u32)],
     scratch: &mut ScoreScratch,
     workers: &mut [ScoreScratch],
-) -> Vec<BinaryHeap<WorstFirst>> {
-    // Utilization telemetry (DESIGN.md §12): wall time of the region vs
-    // summed per-worker busy time. `parallel.capacity_us` is
-    // wall × workers, so utilization = busy / capacity across regions.
-    let region = axqa_obs::Stopwatch::start();
-    let cursor = AtomicUsize::new(0);
-    let score = |t: usize, scratch: &mut ScoreScratch| {
-        // Per-worker span: the worker's own thread id makes the
-        // parallel path visible lane by lane in the Chrome trace.
-        let _span = axqa_obs::span_with("CREATEPOOL.score", "worker", t as u64);
-        let busy = axqa_obs::Stopwatch::start();
-        let mut local: BinaryHeap<WorstFirst> = BinaryHeap::new();
-        let mut items = 0u64;
-        loop {
-            let start = cursor.fetch_add(PAIRS_PER_CLAIM, AtomicOrdering::Relaxed);
-            let Some(claim) = pairs.get(start..) else {
-                break;
-            };
-            for &(a, b) in claim.iter().take(PAIRS_PER_CLAIM) {
-                score_pair(state, config, &mut local, a, b, scratch);
+    best: &mut BinaryHeap<WorstFirst>,
+) {
+    let mut lanes: Vec<(&mut ScoreScratch, BinaryHeap<WorstFirst>)> = std::iter::once(scratch)
+        .chain(workers)
+        .map(|scratch| (scratch, BinaryHeap::new()))
+        .collect();
+    parallel::claim_loop(
+        "CREATEPOOL.score",
+        &mut lanes,
+        pairs.len(),
+        PAIRS_PER_CLAIM,
+        |(scratch, local), i| {
+            if let Some(&(a, b)) = pairs.get(i) {
+                score_pair(state, config, local, a, b, scratch);
             }
-            items = items.saturating_add(1);
-        }
-        axqa_obs::counter("parallel.busy_us", busy.elapsed_us());
-        axqa_obs::observe("parallel.worker_items", items);
-        local
-    };
-    let score = &score;
-    let scope_result = crossbeam::scope(|scope| {
-        let handles: Vec<_> = workers
-            .iter_mut()
-            .enumerate()
-            .map(|(t, scratch)| scope.spawn(move |_| score(t + 1, scratch)))
-            .collect();
-        let mut locals = vec![score(0, scratch)];
-        for handle in handles {
-            match handle.join() {
-                Ok(local) => locals.push(local),
-                Err(_) => panic!("CREATEPOOL scoring worker panicked"),
-            }
-        }
-        locals
-    });
-    let locals = match scope_result {
-        Ok(locals) => locals,
-        Err(_) => panic!("CREATEPOOL scoring scope failed"),
-    };
-    let wall_us = region.elapsed_us();
-    axqa_obs::counter("parallel.regions", 1);
-    axqa_obs::counter("parallel.wall_us", wall_us);
-    axqa_obs::counter(
-        "parallel.capacity_us",
-        wall_us.saturating_mul(locals.len() as u64),
+        },
     );
-    locals
+    for (_, local) in lanes {
+        for worst in local {
+            bounded_push(best, config.heap_upper, worst.0);
+        }
+    }
 }
 
 /// Lists one label group's candidate pairs at one level (Fig. 6 inner
@@ -742,6 +672,7 @@ mod tests {
     use super::*;
     use axqa_synopsis::build_stable;
     use axqa_xml::parse_document;
+    use axqa_xml::threads::SPAWNS_LEFT;
 
     fn t1_doc() -> axqa_xml::Document {
         parse_document(
@@ -860,7 +791,7 @@ mod tests {
 
     /// A document whose stable summary has enough same-label classes to
     /// overflow `group_all_pairs_cap` and exercise every scoring path.
-    fn many_class_doc() -> axqa_xml::Document {
+    pub(crate) fn many_class_doc() -> axqa_xml::Document {
         let mut src = String::from("<r>");
         for k in 1..=40 {
             src.push_str("<p>");
@@ -939,6 +870,33 @@ mod tests {
         for _ in 0..8 {
             assert_eq!(pool(&parallel), expected);
         }
+    }
+
+    #[test]
+    fn parallel_pool_with_refused_threads_is_the_serial_pool() {
+        // With every scoring worker refused, the calling thread claims
+        // the whole level alone, and the pool vector is the serial one.
+        let doc = many_class_doc();
+        let stable = build_stable(&doc);
+        let state = ClusterState::new(&stable, SizeModel::TREESKETCH);
+        let mut serial = BuildConfig::with_budget(1);
+        serial.threads = 1;
+        let mut parallel = serial.clone();
+        parallel.threads = test_threads().max(2);
+        let pool = |config: &BuildConfig| -> Vec<(u64, u32, u32, u64, u64)> {
+            create_pool(&state, config, &mut ScoreScratch::new(), &mut Vec::new())
+                .iter()
+                .map(|c| (c.ratio.to_bits(), c.a, c.b, c.version_a, c.version_b))
+                .collect()
+        };
+        let expected = pool(&serial);
+        assert!(expected.len() > PAIRS_PER_CLAIM);
+        SPAWNS_LEFT.set(1 << 20);
+        assert_eq!(pool(&parallel), expected);
+        assert!(SPAWNS_LEFT.get() < 1 << 20, "a level fans out");
+        SPAWNS_LEFT.set(0);
+        assert_eq!(pool(&parallel), expected);
+        SPAWNS_LEFT.set(usize::MAX);
     }
 
     #[test]
@@ -1027,6 +985,7 @@ mod sweep_tests {
     use super::*;
     use axqa_synopsis::build_stable;
     use axqa_xml::parse_document;
+    use axqa_xml::threads::SPAWNS_LEFT;
 
     #[test]
     fn sweep_matches_independent_builds() {
@@ -1082,6 +1041,34 @@ mod sweep_tests {
                 independent.squared_error()
             );
         }
+    }
+
+    #[test]
+    fn parallel_sweep_with_refused_threads_matches_serial() {
+        // Every finalization (and scoring) worker refused: the calling
+        // thread finalizes each snapshot, and the sketches are the
+        // one-thread sweep's, byte for byte.
+        let doc = super::tests::many_class_doc();
+        let stable = build_stable(&doc);
+        let exact = SizeModel::TREESKETCH.graph_bytes(stable.len(), stable.num_edges());
+        let budgets = [exact / 2, exact / 3, exact / 4];
+        let mut serial = BuildConfig::with_budget(0);
+        serial.threads = 1;
+        let mut parallel = serial.clone();
+        parallel.threads = super::tests::test_threads().max(2);
+        let sweep = |config: &BuildConfig| -> Vec<String> {
+            ts_build_sweep(&stable, &budgets, config)
+                .iter()
+                .map(crate::io::to_text)
+                .collect()
+        };
+        let expected = sweep(&serial);
+        SPAWNS_LEFT.set(1 << 20);
+        assert_eq!(sweep(&parallel), expected);
+        assert!(SPAWNS_LEFT.get() < 1 << 20, "the sweep fans out");
+        SPAWNS_LEFT.set(0);
+        assert_eq!(sweep(&parallel), expected);
+        SPAWNS_LEFT.set(usize::MAX);
     }
 
     #[test]

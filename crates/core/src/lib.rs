@@ -43,6 +43,8 @@
 //!   drains: generation-stamped heap entries plus a score memo that
 //!   re-evaluates only candidates adjacent to an applied merge, with the
 //!   greedy merge sequence provably bit-identical to eager re-scoring.
+//! * [`parallel`] — the claim loop every index-parallel fan-out runs
+//!   on: CREATEPOOL scoring, sweep finalization and the harness's maps.
 //! * [`topdown`] — the top-down split-based ablation §4.2 argues against.
 //! * [`eval`] — `EVALQUERY` + `EVALEMBED` (Figures 7, 8): approximate
 //!   twig answering producing a [`eval::ResultSketch`] that summarizes
@@ -56,6 +58,7 @@ pub mod error;
 pub mod eval;
 pub mod expand;
 pub mod io;
+pub mod parallel;
 pub mod queue;
 pub mod selectivity;
 pub mod sketch;

@@ -2,13 +2,13 @@
 // table, DESIGN.md "Static analysis & invariants").
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-//! Dynamic checks for the `pipeline::parallel_map_indexed_with` hot-path
-//! root (ISSUE 9): worker-item spans stay alloc-free — the driver's own
-//! queue/result allocations are granted and attributed *outside* the
-//! item spans — and every parallel region reports the utilization
-//! counters the bench baseline aggregates into `parallel.*`.
+//! Dynamic checks for the `parallel::claim_loop` hot-path root, through
+//! `parallel::map_indexed`: worker-item spans stay alloc-free — the
+//! loop's own join-handle and lane-result allocations are attributed
+//! *outside* the item spans — and every parallel region reports the
+//! utilization counters the bench baseline aggregates into `parallel.*`.
 
-use axqa_harness::pipeline::parallel_map_indexed_with;
+use axqa_core::parallel::map_indexed;
 
 /// Allocation attribution needs the counting allocator in this binary.
 #[global_allocator]
@@ -22,25 +22,21 @@ fn parallel_worker_spans_are_alloc_free_and_report_utilization() {
     recorder.install();
     // Per-item body: open a span and do pure arithmetic on per-worker
     // state — the shape every harness experiment is expected to keep.
-    let out = parallel_map_indexed_with(
-        THREADS,
-        ITEMS,
-        || 0u64,
-        |acc, i| {
-            let _span = axqa_obs::span("test.worker_item");
-            *acc = acc.wrapping_add(i as u64);
-            *acc + i as u64
-        },
-    );
+    let out = map_indexed(&mut [0u64; THREADS], ITEMS, |acc, i| {
+        let _span = axqa_obs::span("test.worker_item");
+        *acc = acc.wrapping_add(i as u64);
+        *acc + i as u64
+    });
     axqa_obs::uninstall();
     let snapshot = recorder.drain();
 
     assert_eq!(out.len(), ITEMS);
     assert_eq!(snapshot.span_count("test.worker_item"), ITEMS);
 
-    // The driver allocates (work queue, result vector — granted via
-    // [[alloc-ok]]), but exclusive attribution keeps those events out
-    // of the item spans: the measured loop body is alloc-free.
+    // The claim loop allocates (join handles, lane result vectors — the
+    // former granted via [[alloc-ok]]), but exclusive attribution keeps
+    // those events out of the item spans: the measured loop body is
+    // alloc-free.
     assert_eq!(snapshot.span_alloc_count("test.worker_item"), 0);
     assert_eq!(snapshot.span_alloc_bytes("test.worker_item"), 0);
 

@@ -229,7 +229,7 @@ pub fn run_baseline(config: &BaselineConfig) -> BaselineReport {
         eval_per_query_us_p50: eval.p50_us,
         eval_per_query_us_p95: eval.p95_us,
         threads_used,
-        cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        cpus: axqa_xml::threads::cores(),
         alloc_tracked: axqa_obs::alloc::counting_allocator_active(),
         metrics: recorder.drain(),
     }

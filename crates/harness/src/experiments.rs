@@ -3,6 +3,7 @@
 use crate::pipeline::{relative_error, PipelineConfig, Prepared};
 use crate::report::{fmt_f, fmt_kb, fmt_secs, Table};
 use axqa_core::build::ts_build_sweep;
+use axqa_core::parallel::map_indexed;
 use axqa_core::{
     estimate_selectivity, eval_query, eval_query_with_scratch, ts_build, BuildConfig, EvalConfig,
     EvalScratch, TreeSketch,
@@ -752,14 +753,15 @@ fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Index-parallel map with the configured worker count (delegates to
-/// the shared scoped-thread pool primitive in [`crate::pipeline`]).
+/// Index-parallel map with the configured worker count, on core's
+/// claim loop.
 fn parallel_map<T, F>(config: &ExperimentConfig, n: usize, f: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    crate::pipeline::parallel_map_indexed(config.pipeline.effective_threads().max(1), n, f)
+    let mut lanes = vec![(); config.pipeline.effective_threads()];
+    map_indexed(&mut lanes, n, |(), i| f(i))
 }
 
 /// [`parallel_map`] with a per-worker [`EvalScratch`], so the EVALQUERY
@@ -770,12 +772,10 @@ where
     T: Send,
     F: Fn(&mut EvalScratch, usize) -> T + Sync,
 {
-    crate::pipeline::parallel_map_indexed_with(
-        config.pipeline.effective_threads().max(1),
-        n,
-        EvalScratch::new,
-        f,
-    )
+    let mut scratches: Vec<EvalScratch> = (0..config.pipeline.effective_threads())
+        .map(|_| EvalScratch::new())
+        .collect();
+    map_indexed(&mut scratches, n, f)
 }
 
 /// Builds the twig-XSketch baseline at every budget, one budget per
@@ -797,6 +797,7 @@ fn xsketches_per_budget(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use axqa_xml::threads::SPAWNS_LEFT;
 
     fn tiny_config() -> ExperimentConfig {
         ExperimentConfig {
@@ -822,6 +823,20 @@ mod tests {
             let text = t.render();
             assert!(text.contains("4KB") && text.contains("8KB"), "{text}");
         }
+    }
+
+    #[test]
+    fn refused_threads_leave_fig12_unchanged() {
+        // Every worker refused (the sweep's, CREATEPOOL's and the
+        // experiment maps'): the calling thread does all the work, and
+        // the tables are the one-thread ones.
+        let mut serial = tiny_config();
+        serial.pipeline.threads = 1;
+        let expected: Vec<String> = fig12(&serial).iter().map(Table::render).collect();
+        SPAWNS_LEFT.set(0);
+        let refused: Vec<String> = fig12(&tiny_config()).iter().map(Table::render).collect();
+        SPAWNS_LEFT.set(usize::MAX);
+        assert_eq!(refused, expected);
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Shared experiment pipeline: dataset → stable summary → workload →
 //! exact ground truth, with parallel exact evaluation.
 
+use axqa_core::parallel::map_indexed;
 use axqa_datagen::workload::{positive_workload, WorkloadConfig};
 use axqa_datagen::{generate, Dataset, GenConfig};
 use axqa_eval::{evaluate, DocIndex, NestingTree};
 use axqa_query::TwigQuery;
 use axqa_synopsis::{build_stable, StableSummary};
 use axqa_xml::Document;
-use parking_lot::Mutex;
 
 /// Pipeline parameters.
 #[derive(Debug, Clone)]
@@ -41,11 +41,7 @@ impl Default for PipelineConfig {
 impl PipelineConfig {
     /// Worker-thread count to use.
     pub fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            self.threads
-        } else {
-            std::thread::available_parallelism().map_or(4, |n| n.get())
-        }
+        axqa_xml::threads::resolve(self.threads)
     }
 }
 
@@ -140,89 +136,6 @@ impl Prepared {
     }
 }
 
-/// Index-parallel map: evaluates `f(0), …, f(n-1)` on `threads` scoped
-/// workers (work-stealing via an atomic cursor) and returns the results
-/// in index order. `threads <= 1` or `n <= 1` runs inline. This is the
-/// one fan-out primitive of the harness — exact ground truth, the
-/// per-budget/per-query experiment loops, and the bench baseline all go
-/// through it.
-pub fn parallel_map_indexed<T, F>(threads: usize, n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_indexed_with(threads, n, || (), |_, i| f(i))
-}
-
-/// [`parallel_map_indexed`] with per-worker scratch state: `init` builds
-/// one `S` per worker (one total on the inline path) and `f` receives it
-/// mutably alongside the index. This is how the query-serving loops
-/// reuse an `EvalScratch` across calls without sharing it between
-/// threads.
-///
-/// # Panics
-///
-/// If any worker closure panics, the panic is re-raised on the calling
-/// thread once the scope joins.
-pub fn parallel_map_indexed_with<S, T, I, F>(threads: usize, n: usize, init: I, f: F) -> Vec<T>
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n <= 1 {
-        let mut state = init();
-        return (0..n).map(|i| f(&mut state, i)).collect();
-    }
-    let results: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    // Utilization telemetry (DESIGN.md §12): region wall time vs summed
-    // per-worker busy time, same counters as the CREATEPOOL lanes.
-    let region = axqa_obs::Stopwatch::start();
-    let scope_result = crossbeam::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| {
-                let busy = axqa_obs::Stopwatch::start();
-                let mut state = init();
-                let mut items = 0u64;
-                loop {
-                    let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let value = f(&mut state, i);
-                    results.lock()[i] = Some(value);
-                    items = items.saturating_add(1);
-                }
-                axqa_obs::counter("parallel.busy_us", busy.elapsed_us());
-                axqa_obs::observe("parallel.worker_items", items);
-                // Tail events land after the last span's eager flush;
-                // push them out before the scope joins past us.
-                axqa_obs::flush();
-            });
-        }
-    });
-    if scope_result.is_err() {
-        panic!("parallel map worker panicked");
-    }
-    let wall_us = region.elapsed_us();
-    axqa_obs::counter("parallel.regions", 1);
-    axqa_obs::counter("parallel.wall_us", wall_us);
-    axqa_obs::counter(
-        "parallel.capacity_us",
-        wall_us.saturating_mul(threads as u64),
-    );
-    results
-        .into_inner()
-        .into_iter()
-        .map(|slot| match slot {
-            Some(value) => value,
-            None => unreachable!("every index computed"),
-        })
-        .collect()
-}
-
 /// Evaluates the workload exactly, in parallel.
 fn exact_ground_truth(
     doc: &Document,
@@ -230,8 +143,8 @@ fn exact_ground_truth(
     workload: &[TwigQuery],
     config: &PipelineConfig,
 ) -> (Vec<Option<NestingTree>>, Vec<f64>) {
-    let threads = config.effective_threads().max(1);
-    let results = parallel_map_indexed(threads, workload.len(), |i| {
+    let mut lanes = vec![(); config.effective_threads()];
+    let results = map_indexed(&mut lanes, workload.len(), |(), i| {
         if config.need_nesting {
             let nt = evaluate(doc, index, &workload[i]);
             let count = nt
@@ -285,37 +198,5 @@ mod tests {
         assert_eq!(relative_error(10.0, 5.0, 1.0), 1.0);
         assert_eq!(relative_error(10.0, 0.0, 2.0), 5.0);
         assert_eq!(relative_error(4.0, 4.0, 1.0), 0.0);
-    }
-
-    #[test]
-    fn parallel_map_matches_serial_and_preserves_order() {
-        let serial: Vec<usize> = parallel_map_indexed(1, 100, |i| i * i);
-        let parallel: Vec<usize> = parallel_map_indexed(4, 100, |i| i * i);
-        assert_eq!(serial, parallel);
-        assert_eq!(serial[7], 49);
-        let empty: Vec<usize> = parallel_map_indexed(4, 0, |i| i);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn parallel_map_with_state_matches_stateless() {
-        // Worker-local scratch must not change results or their order.
-        let stateless: Vec<usize> = parallel_map_indexed(4, 64, |i| i * 3);
-        let stateful: Vec<usize> =
-            parallel_map_indexed_with(4, 64, Vec::<usize>::new, |scratch, i| {
-                scratch.push(i); // scratch persists across a worker's items
-                i * 3
-            });
-        assert_eq!(stateless, stateful);
-        let inline: Vec<usize> = parallel_map_indexed_with(
-            1,
-            8,
-            || 0usize,
-            |acc, i| {
-                *acc += i;
-                *acc
-            },
-        );
-        assert_eq!(inline, vec![0, 1, 3, 6, 10, 15, 21, 28]);
     }
 }

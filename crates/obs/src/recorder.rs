@@ -15,10 +15,12 @@
 //! suspended on the thread, so observer cost is attributed to *no*
 //! span: a mid-loop buffer flush cannot pollute the hot-path span that
 //! happens to be open around it.
-//! Worker threads in this workspace are scoped (`crossbeam::scope` /
-//! `std::thread::scope`) and therefore exit — running their flush —
-//! before the spawning code can call [`Recorder::drain`], so a drain
-//! observes every worker's events. Timestamps are microseconds on a
+//! Worker threads in this workspace are scoped, so they are joined
+//! before the spawning code can call [`Recorder::drain`]; but a join can
+//! return before the worker's exit-time flush has run (DESIGN.md §12),
+//! so a worker that records after its last span closes calls
+//! [`crate::flush`] before it returns, as each spawned lane of
+//! `axqa-core`'s claim loop does. Timestamps are microseconds on a
 //! process-wide monotonic epoch, so spans from different threads share
 //! one timeline.
 

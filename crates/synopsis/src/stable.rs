@@ -1,10 +1,10 @@
 //! Count-stable summaries and the `BUILDSTABLE` algorithm (§4.1, Fig. 4).
 
 use axqa_xml::fxhash::{FxHashMap, FxHasher};
+use axqa_xml::threads;
 use axqa_xml::{Document, LabelId, LabelTable, NodeId};
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::thread::{Scope, ScopedJoinHandle};
 
 /// Identifier of a synopsis node (an equivalence class of elements).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -267,8 +267,7 @@ const SPLIT_MIN_ELEMENTS: usize = 1 << 19;
 /// ```
 pub fn build_stable(doc: &Document) -> StableSummary {
     let _span = axqa_obs::span_with("BUILDSTABLE", "elements", doc.len() as u64);
-    let split = doc.len() >= SPLIT_MIN_ELEMENTS
-        && std::thread::available_parallelism().is_ok_and(|n| n.get() >= 2);
+    let split = doc.len() >= SPLIT_MIN_ELEMENTS && threads::cores() >= 2;
     split
         .then(|| build_split(doc, doc.len() / 2))
         .flatten()
@@ -305,8 +304,9 @@ fn build_serial(doc: &Document) -> StableSummary {
 /// merge then replays the serial order: those classes translated into
 /// the calling thread's table, interleaved with the spine elements.
 ///
-/// `None` when the ids are not in document order: a walk met an
-/// element outside its range, or an element out of post-order.
+/// `None` when the ids are not in document order (a walk met an
+/// element outside its range, or an element out of post-order), or
+/// when the worker's thread was refused or panicked.
 fn build_split(doc: &Document, cut: usize) -> Option<StableSummary> {
     let cut_id = NodeId(u32::try_from(cut).ok().filter(|_| cut < doc.len())?);
     let mut spine: Vec<NodeId> = std::iter::successors(doc.parent(cut_id), |&a| doc.parent(a))
@@ -322,11 +322,10 @@ fn build_split(doc: &Document, cut: usize) -> Option<StableSummary> {
     // memory a worker allocates stays with its allocator arena after the
     // thread ends.
     let tail = Walk::new(doc, &spine, spine.clone(), cut, WORKER_CLASSES);
-    let (head, tail) = std::thread::scope(|scope| {
-        let tail = spawn_worker(scope, || walk_after(tail, after))?;
-        let head = walk_before(doc, &spine, cut_id, before);
-        Some((head?, tail.join().ok().flatten()?))
-    })?;
+    let (head, tail) = threads::fan_out([|| walk_after(tail, after)], || {
+        walk_before(doc, &spine, cut_id, before)
+    });
+    let (head, tail) = (head?, tail.into_iter().next()?.finished()??);
     let head_children = head.spine_children.finish();
     let tail_children = tail.spine_children.finish();
     let mut classes = head.classes;
@@ -358,26 +357,6 @@ fn build_split(doc: &Document, cut: usize) -> Option<StableSummary> {
         *class = *map.get(class.index())?;
     }
     Some(classes.into_summary(doc, assignment))
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Threads `spawn_worker` starts on this thread before it acts as if
-    /// the OS refused one.
-    static SPAWNS_LEFT: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-}
-
-/// Runs `work` on a new thread of `scope`; `None` when the OS refuses
-/// one, and the caller then walks serially.
-fn spawn_worker<'scope, 'env, T: Send + 'scope>(
-    scope: &'scope Scope<'scope, 'env>,
-    work: impl FnOnce() -> T + Send + 'scope,
-) -> Option<ScopedJoinHandle<'scope, T>> {
-    #[cfg(test)]
-    if SPAWNS_LEFT.with(|left| left.replace(left.get().saturating_sub(1))) == 0 {
-        return None;
-    }
-    std::thread::Builder::new().spawn_scoped(scope, work).ok()
 }
 
 /// The classes of the spine elements' children that a walk met, with
@@ -1008,6 +987,7 @@ mod reference {
 #[cfg(test)]
 mod differential_tests {
     use super::*;
+    use axqa_xml::threads::SPAWNS_LEFT;
     use axqa_xml::{parse_document, DocumentBuilder};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -1100,9 +1080,9 @@ mod differential_tests {
     #[test]
     fn refused_thread_takes_the_serial_path() {
         let doc = parse_document("<r><a><b/></a><a><b/><c/></a><c/></r>").unwrap();
-        SPAWNS_LEFT.with(|left| left.set(0));
+        SPAWNS_LEFT.set(0);
         assert!(build_split(&doc, 3).is_none());
-        SPAWNS_LEFT.with(|left| left.set(usize::MAX));
+        SPAWNS_LEFT.set(usize::MAX);
         assert!(build_split(&doc, 3).is_some());
     }
 

@@ -28,6 +28,9 @@
 //!   writer (elements, the five predefined entities; comments, PIs and
 //!   CDATA are tolerated and skipped; text content carries no structure).
 //! * [`stats`] — document statistics used by the experiment harness.
+//! * [`threads`] — the workspace's one way to start threads: scoped
+//!   jobs beside the calling thread, with refused threads reported
+//!   instead of panicking, and the one "`0` = all cores" resolution.
 //! * [`fxhash`] — a tiny Fx-style hasher for integer-keyed maps (the
 //!   performance guide recommends a fast non-cryptographic hasher; the
 //!   crate implements the well-known `FxHasher` algorithm directly since
@@ -38,6 +41,7 @@ pub mod fxhash;
 pub mod label;
 pub mod parse;
 pub mod stats;
+pub mod threads;
 pub mod tree;
 pub mod write;
 

@@ -42,7 +42,7 @@ pub fn parse_document(input: &str) -> Result<Document, XmlError> {
     // Size first: asking for the core count reads the cgroup files.
     let workers = match input.len() / BYTES_PER_WORKER {
         0 | 1 => 1,
-        most => std::thread::available_parallelism().map_or(1, |n| n.get().min(most)),
+        most => crate::threads::cores().min(most),
     };
     if workers < 2 {
         return parse_serial(input, 0, None, Vec::new());
@@ -609,6 +609,7 @@ mod reference {
 #[cfg(test)]
 mod differential_tests {
     use super::*;
+    use crate::threads::SPAWNS_LEFT;
     use crate::write::write_document;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -834,13 +835,13 @@ mod differential_tests {
         let input = "<r><a x='1'>2</a><b><c/>3</b><a/><b><c/><c/></b><d>4</d></r>";
         let cuts = [input.len() / 3, 2 * input.len() / 3];
         for allowed in 0..=4 {
-            chunked::SPAWNS_LEFT.with(|left| left.set(allowed));
+            SPAWNS_LEFT.set(allowed);
             assert_chunked_same(input, &cuts);
             // The counter ran out: the fan-outs asked for at least
             // `allowed` threads.
-            assert_eq!(chunked::SPAWNS_LEFT.with(|left| left.get()), 0);
+            assert_eq!(SPAWNS_LEFT.get(), 0);
         }
-        chunked::SPAWNS_LEFT.with(|left| left.set(usize::MAX));
+        SPAWNS_LEFT.set(usize::MAX);
     }
 
     #[test]

@@ -22,9 +22,9 @@
 use super::{is_name_byte, next_event, parse_serial, Event, TagCache};
 use crate::error::XmlError;
 use crate::label::LabelTable;
+use crate::threads::{fan_out, Joined};
 use crate::tree::{link_child, Document, NodeData, NodeId};
 use crate::tree::{FIRST_CHILD, LABEL, LAST_CHILD, NEXT_SIBLING, NONE, PARENT};
-use std::thread::{Scope, ScopedJoinHandle};
 
 /// Bytes the calling thread parses before the other workers start, so
 /// that they can seed their label tables with the document's first
@@ -53,17 +53,16 @@ pub(super) fn parse(input: &str, cuts: &[usize]) -> Result<Document, XmlError> {
 
     // Every element starts with an open tag, so a chunk's open-tag count
     // bounds the nodes it creates.
-    let bounds: Option<Vec<usize>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks[1..]
+    let (first, counts) = fan_out(
+        chunks[1..]
             .iter()
-            .map(|&(start, end)| spawn_worker(scope, move || count_open_tags(bytes, start, end)))
-            .collect();
-        let first = count_open_tags(bytes, chunks[0].0, chunks[0].1);
-        [Some(first)]
-            .into_iter()
-            .chain(handles.into_iter().map(|h| h?.join().ok()))
-            .collect()
-    });
+            .map(|&(start, end)| move || count_open_tags(bytes, start, end)),
+        || count_open_tags(bytes, chunks[0].0, chunks[0].1),
+    );
+    let bounds: Option<Vec<usize>> = [Some(first)]
+        .into_iter()
+        .chain(counts.into_iter().map(Joined::finished))
+        .collect();
     let Some(bounds) = bounds else {
         return parse_serial(input, 0, None, Vec::new());
     };
@@ -76,41 +75,39 @@ pub(super) fn parse(input: &str, cuts: &[usize]) -> Result<Document, XmlError> {
     // Zeroed, so that each worker takes the first-touch page faults of
     // its own range.
     let mut arena: Vec<NodeData> = vec![[0; 5]; total];
-    let fragments: Vec<Option<Fragment<'_>>> = std::thread::scope(|scope| {
-        let mut jobs = Vec::with_capacity(chunks.len());
-        let (mut rest, mut base) = (arena.as_mut_slice(), 0);
-        for (&bound, &(start, end)) in bounds.iter().zip(&chunks) {
-            let (nodes, tail) = rest.split_at_mut(bound);
-            jobs.push((Fragment::new(start, base), end, nodes));
-            (rest, base) = (tail, base + bound);
-        }
-        let mut jobs = jobs.into_iter();
-        let Some((Some(mut head), head_end, head_nodes)) = jobs.next() else {
-            return Vec::new();
-        };
-        let seed_end = next_open_tag(bytes, SEED_BYTES).map_or(head_end, |p| p.min(head_end));
-        let mut ok = head.parse(input, seed_end, head_nodes).is_some();
-        let handles: Vec<_> = jobs
-            .map(|(fragment, end, nodes)| {
-                let seed = head.labels.clone();
-                spawn_worker(scope, move || {
-                    let mut fragment = fragment?;
-                    fragment.labels = seed;
-                    fragment.parse(input, end, nodes)?;
-                    Some(fragment)
-                })
-            })
-            .collect();
-        ok = ok && head.parse(input, head_end, head_nodes).is_some();
-        [ok.then_some(head)]
-            .into_iter()
-            .chain(handles.into_iter().map(|h| h?.join().ok().flatten()))
-            .collect()
+    let mut jobs = Vec::with_capacity(chunks.len());
+    let (mut rest, mut base) = (arena.as_mut_slice(), 0);
+    for (&bound, &(start, end)) in bounds.iter().zip(&chunks) {
+        let (nodes, tail) = rest.split_at_mut(bound);
+        jobs.push((Fragment::new(start, base), end, nodes));
+        (rest, base) = (tail, base + bound);
+    }
+    let mut jobs = jobs.into_iter();
+    let Some((Some(mut head), head_end, head_nodes)) = jobs.next() else {
+        return parse_serial(input, 0, None, Vec::new());
+    };
+    let seed_end = next_open_tag(bytes, SEED_BYTES).map_or(head_end, |p| p.min(head_end));
+    let seeded = head.parse(input, seed_end, head_nodes).is_some();
+    let jobs: Vec<_> = jobs
+        .map(|(fragment, end, nodes)| {
+            let seed = head.labels.clone();
+            move || {
+                let mut fragment = fragment?;
+                fragment.labels = seed;
+                fragment.parse(input, end, nodes)?;
+                Some(fragment)
+            }
+        })
+        .collect();
+    let (head, others) = fan_out(jobs, || {
+        let ok = seeded && head.parse(input, head_end, head_nodes).is_some();
+        ok.then_some(head)
     });
+    let mut fragments =
+        std::iter::once(head).chain(others.into_iter().map(|job| job.finished().flatten()));
 
     let mut stitch = Stitch::default();
     let mut resume = input.len();
-    let mut fragments = fragments.into_iter();
     for &(start, end) in &chunks {
         let fragment = fragments.next().flatten();
         let Some(fragment) = fragment.filter(|f| stitch.accepts(f)) else {
@@ -135,27 +132,6 @@ pub(super) fn parse(input: &str, cuts: &[usize]) -> Result<Document, XmlError> {
         .map(|(id, tag)| (NodeId(id), tag))
         .collect();
     parse_serial(input, resume, doc, open)
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Threads `spawn_worker` starts on this thread before it acts as if
-    /// the OS refused one.
-    pub(super) static SPAWNS_LEFT: std::cell::Cell<usize> =
-        const { std::cell::Cell::new(usize::MAX) };
-}
-
-/// Runs `work` on a new thread of `scope`; `None` when the OS refuses
-/// one, which the caller treats like a failed worker.
-fn spawn_worker<'scope, 'env, T: Send + 'scope>(
-    scope: &'scope Scope<'scope, 'env>,
-    work: impl FnOnce() -> T + Send + 'scope,
-) -> Option<ScopedJoinHandle<'scope, T>> {
-    #[cfg(test)]
-    if SPAWNS_LEFT.with(|left| left.replace(left.get().saturating_sub(1))) == 0 {
-        return None;
-    }
-    std::thread::Builder::new().spawn_scoped(scope, work).ok()
 }
 
 /// The first open tag (`<` and a name byte) at or after `from`.
