@@ -40,7 +40,7 @@
 //!   bit-identical to the serial run. See DESIGN.md §4.6 for the
 //!   determinism argument.
 
-use crate::cluster::{ClusterState, PartitionSnapshot, ScoreScratch};
+use crate::cluster::{ClusterState, ScoreScratch};
 use crate::parallel;
 use crate::queue::{MergeCandidate, MergeQueue, QueueStats};
 use crate::sketch::TreeSketch;
@@ -65,9 +65,9 @@ pub struct BuildConfig {
     pub group_all_pairs_cap: usize,
     /// Window width for large groups.
     pub window: usize,
-    /// Worker threads for `CREATEPOOL` candidate scoring and sweep
-    /// snapshot finalization: `0` = available parallelism, `1` = the
-    /// serial code path. Any value produces bit-identical output.
+    /// Worker threads for `CREATEPOOL` candidate scoring: `0` =
+    /// available parallelism, `1` = the serial code path. Any value
+    /// produces bit-identical output.
     pub threads: usize,
     /// Record every applied merge into [`BuildReport::merge_log`].
     /// Off by default: the log is test/diagnostic machinery (the
@@ -174,31 +174,62 @@ pub fn try_ts_build(
 }
 
 /// TSBUILD (Fig. 5) over a caller-provided state (lets tests inspect
-/// the state). Fails with [`crate::error::AxqaError::InvalidBudget`]
-/// when `config.budget_bytes` is 0.
+/// the state). A zero budget is rejected with
+/// [`crate::error::AxqaError::InvalidBudget`] up front: the merge loop
+/// would otherwise run to the label-split floor and silently report
+/// `reached_budget: false`, masking what is always a caller bug
+/// (budgets are byte *capacities*).
 pub fn ts_build_state(
     state: &mut ClusterState<'_>,
     config: &BuildConfig,
 ) -> Result<BuildReport, crate::error::AxqaError> {
-    ts_build_to_budget(state, config, config.budget_bytes)
-}
-
-/// TSBUILD (Fig. 5) with the byte budget threaded explicitly, so budget
-/// sweeps reuse one `config` instead of cloning it per step. A zero
-/// budget is rejected up front: the merge loop would otherwise run to
-/// the label-split floor and silently report `reached_budget: false`,
-/// masking what is always a caller bug (budgets are byte *capacities*).
-fn ts_build_to_budget(
-    state: &mut ClusterState<'_>,
-    config: &BuildConfig,
-    budget_bytes: usize,
-) -> Result<BuildReport, crate::error::AxqaError> {
+    let budget_bytes = config.budget_bytes;
     if budget_bytes == 0 {
         return Err(crate::error::AxqaError::InvalidBudget {
             context: "ts_build",
         });
     }
-    let _span = axqa_obs::span_with("TSBUILD", "budget_bytes", budget_bytes as u64);
+    let run = merge_loop(state, config, &[budget_bytes], |_, _| {});
+    let final_bytes = state.size_bytes();
+    let (sketch, stable_assignment) = state.to_sketch_with_assignment();
+    Ok(BuildReport {
+        sketch,
+        merges: run.merges,
+        pool_rebuilds: run.pool_rebuilds,
+        reached_budget: final_bytes <= budget_bytes,
+        final_bytes,
+        squared_error: state.squared_error(),
+        stable_assignment,
+        merge_log: run.merge_log,
+    })
+}
+
+/// What one run of [`merge_loop`] did.
+struct Trajectory {
+    merges: usize,
+    pool_rebuilds: usize,
+    merge_log: Vec<(u32, u32)>,
+}
+
+/// The TSBUILD merge loop (Fig. 5), the one every build and budget
+/// sweep runs: CREATEPOOL rounds drained through the lazy
+/// [`MergeQueue`] until the size fits the last, smallest of `budgets`
+/// (nonzero, in descending order) or the label-split floor stops it.
+///
+/// `fits(k, state)` is called once per budget, in order: where the
+/// size first fits `budgets[k]`, or on the final state for the budgets
+/// left at the floor. The budgets are only stopping points — pool
+/// generation and the queue never read them — so the state handed out
+/// at `budgets[k]` is the one an independent build at `budgets[k]`
+/// ends with: up to that point both loops take the same steps.
+fn merge_loop(
+    state: &mut ClusterState<'_>,
+    config: &BuildConfig,
+    budgets: &[usize],
+    mut fits: impl FnMut(usize, &ClusterState<'_>),
+) -> Trajectory {
+    let smallest = budgets.last().copied().unwrap_or(0);
+    let _span = axqa_obs::span_with("TSBUILD", "budget_bytes", smallest as u64);
     let mut merges = 0usize;
     let mut pool_rebuilds = 0usize;
     let mut queue_stats = QueueStats::default();
@@ -208,8 +239,21 @@ fn ts_build_to_budget(
     // keep theirs for the whole build too.
     let mut scratch = ScoreScratch::new();
     let mut worker_scratches: Vec<ScoreScratch> = Vec::new();
+    // The stop test: hands out every budget the state now fits, and
+    // holds while one is left (with one budget, `size > budget`).
+    let mut handed = 0usize;
+    let mut pending = |state: &ClusterState<'_>| {
+        while let Some(&budget) = budgets.get(handed) {
+            if state.size_bytes() > budget {
+                return true;
+            }
+            fits(handed, state);
+            handed += 1;
+        }
+        false
+    };
 
-    while state.size_bytes() > budget_bytes {
+    while pending(state) {
         let pool = create_pool(state, config, &mut scratch, &mut worker_scratches);
         pool_rebuilds += 1;
         if pool.is_empty() {
@@ -229,7 +273,7 @@ fn ts_build_to_budget(
         let mut queue = MergeQueue::from_pool(pool, state);
         let _merge_span = axqa_obs::span_with("TSBUILD.merge_loop", "pool", queue.len() as u64);
         let merges_before = merges;
-        while state.size_bytes() > budget_bytes {
+        while pending(state) {
             let Some((a, b)) = queue.next_merge(state, &mut scratch, lower) else {
                 break; // drained to Lh without a fresh applicable merge
             };
@@ -252,6 +296,11 @@ fn ts_build_to_budget(
             break; // pool yielded no applicable merge: avoid spinning
         }
     }
+    // The label-split floor stopped the loop: the budgets left get the
+    // final state.
+    for k in handed..budgets.len() {
+        fits(k, state);
+    }
 
     // The eager loop's tsbuild.reevals was reevals + stale_skipped: the
     // memo converts the skipped share into heap re-pushes with no
@@ -261,18 +310,11 @@ fn ts_build_to_budget(
     axqa_obs::counter("tsbuild.adjacent_rescored", queue_stats.adjacent_rescored);
     axqa_obs::counter("tsbuild.merges", merges as u64);
     axqa_obs::counter("tsbuild.pool_rebuilds", pool_rebuilds as u64);
-    let final_bytes = state.size_bytes();
-    let (sketch, stable_assignment) = state.to_sketch_with_assignment();
-    Ok(BuildReport {
-        sketch,
+    Trajectory {
         merges,
         pool_rebuilds,
-        reached_budget: final_bytes <= budget_bytes,
-        final_bytes,
-        squared_error: state.squared_error(),
-        stable_assignment,
         merge_log,
-    })
+    }
 }
 
 /// The pre-memo eager TSBUILD merge loop (paper §4.2, Fig. 6),
@@ -377,50 +419,39 @@ pub fn ts_build_eager(
     })
 }
 
-/// Budget sweep: compresses once, snapshotting the synopsis at every
-/// requested budget. Equivalent to independent `ts_build` (Fig. 5)
-/// calls per
-/// budget (greedy merging is prefix-stable: the merges taken for a
-/// small budget extend those for a large one), but pays the
+/// Budget sweep: one TSBUILD (Fig. 5) run toward the smallest budget,
+/// with a sketch taken where the size first fits each budget (or, for
+/// the budgets left, at the label-split floor). Each sketch is the one
+/// an independent [`ts_build`] at its budget returns, because a budget
+/// only says where the merge loop stops; the sweep pays the
 /// construction cost once. Returns sketches aligned with the input
 /// order.
 ///
 /// # Panics
 ///
-/// Panics if any budget in `budgets` is 0 (see [`ts_build`]).
+/// Panics if any budget in `budgets` is 0 (see [`ts_build`]), before
+/// any merge.
 pub fn ts_build_sweep(
     stable: &StableSummary,
     budgets: &[usize],
     config: &BuildConfig,
 ) -> Vec<TreeSketch> {
+    if budgets.contains(&0) {
+        let error = crate::error::AxqaError::InvalidBudget {
+            context: "ts_build",
+        };
+        panic!("ts_build_sweep: {error}");
+    }
     let mut order: Vec<usize> = (0..budgets.len()).collect();
     order.sort_unstable_by(|&a, &b| budgets[b].cmp(&budgets[a])); // descending
+    let descending: Vec<usize> = order.iter().map(|&i| budgets[i]).collect();
     let mut state = ClusterState::new(stable, config.size_model);
-    let mut snaps: Vec<Option<PartitionSnapshot>> = (0..budgets.len()).map(|_| None).collect();
-    for index in order {
-        if let Err(error) = ts_build_to_budget(&mut state, config, budgets[index]) {
-            panic!("ts_build_sweep: {error}");
-        }
-        // Snapshots are cheap copies of the live partition; the costly
-        // finalization (renumbering, centroids, edge sorting) is fanned
-        // out below once the sequential merging is done.
-        snaps[index] = Some(state.snapshot());
-    }
-    let snaps: Vec<PartitionSnapshot> = snaps.into_iter().flatten().collect();
-    finalize_snapshots(&snaps, config)
-}
-
-/// Turns sweep snapshots into sketches, in input order, sharding the
-/// per-budget finalization work across the Fig. 5 worker pool.
-fn finalize_snapshots(snaps: &[PartitionSnapshot], config: &BuildConfig) -> Vec<TreeSketch> {
-    let _span = axqa_obs::span_with("TSBUILD.finalize_sweep", "snapshots", snaps.len() as u64);
-    let mut lanes = vec![(); config.effective_threads()];
-    parallel::map_indexed(&mut lanes, snaps.len(), |(), i| {
-        snaps.get(i).map(PartitionSnapshot::finalize)
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    let mut sketches: Vec<Option<TreeSketch>> = vec![None; budgets.len()];
+    merge_loop(&mut state, config, &descending, |k, state| {
+        let _span = axqa_obs::span("TSBUILD.to_sketch");
+        sketches[order[k]] = Some(state.to_sketch());
+    });
+    sketches.into_iter().flatten().collect()
 }
 
 /// Minimum clusters at a level before scoring fans out; below this,
@@ -987,6 +1018,27 @@ mod sweep_tests {
     use axqa_xml::parse_document;
     use axqa_xml::threads::SPAWNS_LEFT;
 
+    /// Asserts that every swept sketch is, byte for byte, the one an
+    /// independent `ts_build` at its budget returns.
+    fn assert_sweep_is_independent(
+        stable: &StableSummary,
+        budgets: &[usize],
+        config: &BuildConfig,
+    ) {
+        let sweep = ts_build_sweep(stable, budgets, config);
+        assert_eq!(sweep.len(), budgets.len());
+        for (&budget, swept) in budgets.iter().zip(&sweep) {
+            let mut single = config.clone();
+            single.budget_bytes = budget;
+            let independent = ts_build(stable, &single).sketch;
+            assert_eq!(
+                crate::io::to_text(swept),
+                crate::io::to_text(&independent),
+                "budget {budget}"
+            );
+        }
+    }
+
     #[test]
     fn sweep_matches_independent_builds() {
         let doc = parse_document(
@@ -997,26 +1049,11 @@ mod sweep_tests {
         let stable = build_stable(&doc);
         let exact = SizeModel::TREESKETCH.graph_bytes(stable.len(), stable.num_edges());
         let budgets = [exact / 2, exact * 3 / 4, exact / 4];
-        let sweep = ts_build_sweep(&stable, &budgets, &BuildConfig::with_budget(0));
-        for (&budget, swept) in budgets.iter().zip(&sweep) {
-            let independent = ts_build(&stable, &BuildConfig::with_budget(budget)).sketch;
-            assert_eq!(swept.len(), independent.len(), "budget {budget}");
-            assert_eq!(swept.num_edges(), independent.num_edges());
-            assert!(
-                (swept.squared_error() - independent.squared_error()).abs()
-                    < 1e-6 * independent.squared_error().max(1.0),
-                "budget {budget}: sweep err {} vs independent {}",
-                swept.squared_error(),
-                independent.squared_error()
-            );
-        }
+        assert_sweep_is_independent(&stable, &budgets, &BuildConfig::with_budget(0));
     }
 
     #[test]
     fn sweep_equals_independent_builds_at_two_budgets() {
-        // Exercises the no-clone budget threading and the parallel
-        // snapshot finalization: the swept sketches must be structurally
-        // identical to independent ts_build runs at the same budgets.
         let doc = parse_document(
             "<r><a><b/><b/><b/></a><a><b/></a><a><b/><b/></a>\
              <c><a><b/><b/><b/><b/></a></c><c><a/></c></r>",
@@ -1027,27 +1064,27 @@ mod sweep_tests {
         let budgets = [exact * 2 / 3, exact / 3];
         let mut config = BuildConfig::with_budget(0);
         config.threads = super::tests::test_threads();
-        let sweep = ts_build_sweep(&stable, &budgets, &config);
-        assert_eq!(sweep.len(), 2);
-        for (&budget, swept) in budgets.iter().zip(&sweep) {
-            let independent = ts_build(&stable, &BuildConfig::with_budget(budget)).sketch;
-            assert_eq!(swept.len(), independent.len(), "budget {budget}");
-            assert_eq!(swept.num_edges(), independent.num_edges());
-            assert!(
-                (swept.squared_error() - independent.squared_error()).abs()
-                    < 1e-6 * independent.squared_error().max(1.0),
-                "budget {budget}: sweep err {} vs independent {}",
-                swept.squared_error(),
-                independent.squared_error()
-            );
-        }
+        assert_sweep_is_independent(&stable, &budgets, &config);
+    }
+
+    #[test]
+    fn parallel_sweep_equals_independent_builds_on_many_classes() {
+        // Enough classes that each budget stops mid-round: a sweep that
+        // restarted CREATEPOOL at every budget would drift from the
+        // independent builds here.
+        let stable = build_stable(&super::tests::many_class_doc());
+        let exact = SizeModel::TREESKETCH.graph_bytes(stable.len(), stable.num_edges());
+        let budgets = [exact / 2, exact / 3, exact / 4];
+        let mut config = BuildConfig::with_budget(0);
+        config.threads = super::tests::test_threads();
+        assert_sweep_is_independent(&stable, &budgets, &config);
     }
 
     #[test]
     fn parallel_sweep_with_refused_threads_matches_serial() {
-        // Every finalization (and scoring) worker refused: the calling
-        // thread finalizes each snapshot, and the sketches are the
-        // one-thread sweep's, byte for byte.
+        // Every scoring worker refused: the calling thread scores each
+        // CREATEPOOL level alone, and the sketches are the one-thread
+        // sweep's, byte for byte.
         let doc = super::tests::many_class_doc();
         let stable = build_stable(&doc);
         let exact = SizeModel::TREESKETCH.graph_bytes(stable.len(), stable.num_edges());
@@ -1069,6 +1106,17 @@ mod sweep_tests {
         SPAWNS_LEFT.set(0);
         assert_eq!(sweep(&parallel), expected);
         SPAWNS_LEFT.set(usize::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "ts_build_sweep: ts_build: synopsis byte budget")]
+    fn sweep_rejects_a_zero_budget() {
+        let doc = parse_document("<r><a><b/></a><a><b/><b/></a></r>").unwrap();
+        let _ = ts_build_sweep(
+            &build_stable(&doc),
+            &[64, 0, 32],
+            &BuildConfig::with_budget(0),
+        );
     }
 
     #[test]

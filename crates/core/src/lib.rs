@@ -44,7 +44,7 @@
 //!   re-evaluates only candidates adjacent to an applied merge, with the
 //!   greedy merge sequence provably bit-identical to eager re-scoring.
 //! * [`parallel`] — the claim loop every index-parallel fan-out runs
-//!   on: CREATEPOOL scoring, sweep finalization and the harness's maps.
+//!   on: CREATEPOOL scoring and the harness's maps.
 //! * [`topdown`] — the top-down split-based ablation §4.2 argues against.
 //! * [`eval`] — `EVALQUERY` + `EVALEMBED` (Figures 7, 8): approximate
 //!   twig answering producing a [`eval::ResultSketch`] that summarizes
@@ -68,7 +68,7 @@ pub mod values;
 pub use build::{
     create_candidate_pool, try_ts_build, ts_build, ts_build_eager, BuildConfig, BuildReport,
 };
-pub use cluster::{ClusterState, PartitionSnapshot, ScoreScratch};
+pub use cluster::{ClusterState, ScoreScratch};
 pub use error::AxqaError;
 pub use eval::{
     eval_query, eval_query_with_scratch, eval_query_with_values, EvalConfig, EvalScratch,

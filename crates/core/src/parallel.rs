@@ -1,6 +1,5 @@
 //! The claim loop: the index-parallel fan-out behind CREATEPOOL scoring
-//! (§4.2, Fig. 6), sweep snapshot finalization and the harness's maps
-//! (DESIGN.md §4.6).
+//! (§4.2, Fig. 6) and the harness's maps (DESIGN.md §4.6).
 //!
 //! Lanes, the calling thread among them, claim runs of indices from a
 //! shared cursor until none are left, so a slow lane costs at most one

@@ -322,8 +322,6 @@ fn json_f(value: f64) -> String {
 }
 
 /// Span names whose allocation profile the baseline reports per phase.
-/// `TSBUILD.finalize` is deliberately absent: that span lives on the
-/// sweep/snapshot path (`finalize_snapshots`), not the bench path.
 const ALLOC_PHASE_SPANS: &[&str] = &[
     "BUILDSTABLE",
     "TSBUILD",
@@ -353,9 +351,9 @@ impl BaselineReport {
     /// Serializes the snapshot as the `axqa-bench-baseline/3` JSON
     /// document (hand-rolled — the workspace carries no serde). v3 adds
     /// the `allocation` and `parallel` blocks and drops the dead
-    /// `finalize_us` phase (the `TSBUILD.finalize` span is sweep-only
-    /// and never fires on the bench path); v2 added the
-    /// `ts_build_phases` span breakdown and the per-query p50/p95.
+    /// `finalize_us` phase, which never fired on the bench path; v2
+    /// added the `ts_build_phases` span breakdown and the per-query
+    /// p50/p95.
     pub fn to_json(&self) -> String {
         let budgets: Vec<String> = self
             .config
@@ -613,7 +611,7 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        // v3 dropped the dead sweep-only phase from the bench document.
+        // v3 dropped the dead `finalize_us` phase from the bench document.
         assert!(!json.contains("\"finalize_us\""));
         // The embedded snapshot saw the run's work.
         assert!(report.metrics.counter("tsbuild.merges") > 0);

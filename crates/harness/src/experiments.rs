@@ -477,7 +477,8 @@ pub fn fig13(config: &ExperimentConfig) -> Table {
         let n = prepared.workload.len();
         let start = Stopwatch::start();
         // One compression sweep serves all budgets (greedy merging is
-        // prefix-stable), and its wall time is the reported build cost.
+        // prefix-stable: each budget is a stopping point on one merge
+        // trajectory), and its wall time is the reported build cost.
         let fig13_budgets = [10usize, 20, 30, 40, 50];
         let budget_bytes: Vec<usize> = fig13_budgets.iter().map(|&b| kb(b)).collect();
         let sweep = ts_build_sweep(

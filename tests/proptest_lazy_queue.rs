@@ -20,7 +20,16 @@
 //! `squared_error` bits, final byte size, and every node of the final
 //! sketch must be identical. Any divergence means a memo hit served a
 //! ratio that eager re-evaluation would not have produced.
+//!
+//! The budget sweep (`ts_build_sweep`) runs the same queue toward its
+//! smallest budget and takes a sketch where the size first fits each
+//! one, so the queue it carries across budgets is held to the same
+//! standard: every swept sketch's text must equal that of an
+//! independent `try_ts_build` at its budget, under the same stressed
+//! pool bounds.
 
+use axqa::core::build::ts_build_sweep;
+use axqa::core::io::to_text;
 use axqa::core::{try_ts_build, ts_build_eager, BuildConfig, BuildReport};
 use axqa::prelude::*;
 use proptest::prelude::*;
@@ -152,5 +161,37 @@ proptest! {
             &eager,
             &format!("Uh {heap_upper} Lh {}", config.heap_lower),
         );
+    }
+
+    // A sweep budget is only a stopping point on one merge trajectory:
+    // 1–4 unsorted budgets, swept at once under tiny pool bounds (many
+    // CREATEPOOL rounds, each budget likely to stop mid-round), give
+    // the sketches that independent builds at each budget give.
+    #[test]
+    fn sweep_matches_independent_builds_under_stressed_pool_bounds(
+        tree in tree_strategy(),
+        heap_upper in 2usize..24,
+        fracs in prop::collection::vec(1usize..=100, 1..=4),
+    ) {
+        let doc = to_document(&tree);
+        let stable = build_stable(&doc);
+        let exact = SizeModel::TREESKETCH.graph_bytes(stable.len(), stable.num_edges());
+        let budgets: Vec<usize> = fracs.iter().map(|&f| (exact * f / 100).max(1)).collect();
+        let mut config = BuildConfig::with_budget(1);
+        config.threads = 1;
+        config.heap_upper = heap_upper;
+        config.group_all_pairs_cap = 4;
+        config.window = 2;
+        let sweep = ts_build_sweep(&stable, &budgets, &config);
+        assert_eq!(sweep.len(), budgets.len());
+        for (&budget, swept) in budgets.iter().zip(&sweep) {
+            config.budget_bytes = budget;
+            let independent = try_ts_build(&stable, &config).unwrap();
+            assert_eq!(
+                to_text(swept),
+                to_text(&independent.sketch),
+                "budgets {budgets:?}, Uh {heap_upper}: budget {budget}"
+            );
+        }
     }
 }
