@@ -277,7 +277,9 @@ fn bench_eval_query(
     workload: &[TwigQuery],
 ) -> EvalBench {
     let first_budget = config.budgets_kb.first().copied().unwrap_or(10);
-    let ts = ts_build(stable, &BuildConfig::with_budget(kb(first_budget))).sketch;
+    let mut build_config = BuildConfig::with_budget(kb(first_budget));
+    build_config.threads = config.threads;
+    let ts = ts_build(stable, &build_config).sketch;
     let eval_config = EvalConfig::default();
     // One scratch serves the whole workload — the steady-state serving
     // configuration the baseline is meant to measure.

@@ -249,10 +249,11 @@ const SPLIT_MIN_ELEMENTS: usize = 1 << 19;
 /// `[label, class₁, k₁, …]` into one reused buffer and looked up by its
 /// hash, so only a new class stores it.
 ///
-/// A large document whose ids are in document order (as the parser and
-/// `DocumentBuilder` number them) is walked in two halves at once and
-/// the halves' classes are merged in post-order (DESIGN.md §15); the
-/// summary is the same as one thread's.
+/// A large document is classified in two halves at once, whole subtrees
+/// on each side of the middle id, and the halves' classes are merged in
+/// post-order (DESIGN.md §15); the summary is the same as one thread's.
+/// The parser and `DocumentBuilder` number elements in document order,
+/// which keeps each subtree's ids on one side.
 ///
 /// ```
 /// use axqa_xml::parse_document;
@@ -296,241 +297,179 @@ fn build_serial(doc: &Document) -> StableSummary {
 
 /// `BUILDSTABLE` on two threads, with the id range split at `cut`
 /// (DESIGN.md §15). The *spine* is the set of the cut element's
-/// ancestors. The calling thread walks the elements before the cut,
-/// which in document order are the serial post-order's first stretch,
-/// so their classes keep their ids. A worker walks the cut element's
-/// subtree and the later subtrees into a table of its own, noting how
-/// many of its classes it has seen when each spine element closes. The
-/// merge then replays the serial order: those classes translated into
-/// the calling thread's table, interleaved with the spine elements.
+/// ancestors. Each side classifies whole subtrees of spine elements'
+/// children with the serial pass's loop, [`classify_subtree`]. The
+/// calling thread takes the subtrees that the serial post-order visits
+/// before the cut element, so its classes keep their ids. A worker takes
+/// the cut element's subtree and the later subtrees into a table of its
+/// own, noting how many of its classes it has seen where each spine
+/// element closes. The merge then replays the serial order: those
+/// classes translated into the calling thread's table, interleaved with
+/// the spine elements.
 ///
-/// `None` when the ids are not in document order (a walk met an
-/// element outside its range, or an element out of post-order), or
-/// when the worker's thread was refused or panicked.
+/// `None` when an element a side classifies lies outside that side's id
+/// range (`[0, cut)` for the calling thread and the spine, `[cut, n)`
+/// for the worker), or when the worker's thread was refused or panicked.
 fn build_split(doc: &Document, cut: usize) -> Option<StableSummary> {
     let cut_id = NodeId(u32::try_from(cut).ok().filter(|_| cut < doc.len())?);
     let mut spine: Vec<NodeId> = std::iter::successors(doc.parent(cut_id), |&a| doc.parent(a))
         .take(doc.len())
         .collect();
     spine.reverse();
-    if spine.is_empty() || spine.iter().any(|a| a.index() >= cut) {
-        return None;
-    }
     let mut assignment = vec![UNSEEN; doc.len()];
     let (before, after) = assignment.split_at_mut(cut);
-    // The worker's class table is reserved here, on the calling thread:
-    // memory a worker allocates stays with its allocator arena after the
-    // thread ends.
-    let tail = Walk::new(doc, &spine, spine.clone(), cut, WORKER_CLASSES);
-    let (head, tail) = threads::fan_out([|| walk_after(tail, after)], || {
-        walk_before(doc, &spine, cut_id, before)
+    // The worker's side is reserved here, on the calling thread: memory a
+    // worker allocates stays with its allocator arena after the thread
+    // ends.
+    let mut tail = Side::new(doc, spine.len(), WORKER_CLASSES);
+    let worker = || {
+        tail.classify_child(doc, cut_id, after, cut)?;
+        let mut inner = cut_id;
+        for &element in spine.iter().rev() {
+            for child in doc.children(element).skip_while(|&c| c != inner).skip(1) {
+                tail.classify_child(doc, child, after, cut)?;
+            }
+            tail.close();
+            inner = element;
+        }
+        Some(tail)
+    };
+    let (head, tail) = threads::fan_out([worker], || {
+        let mut head = Side::new(doc, spine.len(), 0);
+        let inner = spine.iter().skip(1).chain([&cut_id]);
+        for (&element, &inner) in spine.iter().zip(inner) {
+            for child in doc.children(element).take_while(|&c| c != inner) {
+                head.classify_child(doc, child, before, 0)?;
+            }
+            head.close();
+        }
+        Some(head)
     });
-    let (head, tail) = (head?, tail.into_iter().next()?.finished()??);
-    let head_children = head.spine_children.finish();
-    let tail_children = tail.spine_children.finish();
-    let mut classes = head.classes;
+    let (mut head, tail) = (head?, tail.into_iter().next()?.finished()??);
 
     // Replay: the worker's classes first seen before each spine element
     // closes, then that element, innermost first. A spine element's
-    // children are its spine child and the ones the walks counted.
+    // children are its spine child and the ones the sides counted.
     let mut map: Vec<SynNodeId> = Vec::with_capacity(tail.classes.class_count());
-    for (depth, &mark) in (0..spine.len()).rev().zip(&tail.marks) {
+    for (closed, depth) in (0..spine.len()).rev().enumerate() {
+        let &(_, mark) = tail.closes.get(closed)?;
         while map.len() < mark.min(tail.classes.class_count()) {
-            map.push(classes.translate(&tail.classes, map.len(), &map)?);
+            map.push(head.classes.translate(&tail.classes, map.len(), &map)?);
         }
-        let mut children = head_children[depth].clone();
-        for &(local, k) in &tail_children[depth] {
+        let mut children = head.children_of(depth).to_vec();
+        for &(local, k) in tail.children_of(closed) {
             children.push((map.get(local as usize)?.0, k));
         }
         if let Some(inner) = spine.get(depth + 1) {
-            children.push((before[inner.index()].0, 1));
+            children.push((before.get(inner.index())?.0, 1));
         }
         let element = spine[depth];
-        let class = classes.classify_counted(doc.label(element), children);
-        before[element.index()] = class;
+        let class = head.classes.sign(doc.label(element), children);
+        head.classes.add_to_extent(class);
+        *before.get_mut(element.index())? = class;
     }
     for (&class, &extent) in map.iter().zip(&tail.classes.extents) {
-        let total = &mut classes.extents[class.index()];
+        let total = &mut head.classes.extents[class.index()];
         *total = total.saturating_add(extent);
     }
     for class in after.iter_mut() {
         *class = *map.get(class.index())?;
     }
-    Some(classes.into_summary(doc, assignment))
+    Some(head.classes.into_summary(doc, assignment))
 }
 
-/// The classes of the spine elements' children that a walk met, with
-/// their counts. A walk meets the children of one spine element after
-/// another, so they are counted densely by class for the current one
-/// and set aside as `(class, count)` pairs when it changes.
-struct SpineChildren {
-    /// Per spine element, from the root in: the pairs set aside.
-    pairs: Vec<Vec<(u32, u32)>>,
-    /// The spine element being counted.
-    depth: usize,
-    /// Its count per class.
+/// The serial pass's loop over the subtree of `root`: classifies its
+/// elements in post-order into `classes`, with `classes_of` holding the
+/// classes of the elements from id `offset` on. Returns `root`'s class,
+/// or `None` when an element of the subtree lies outside `classes_of`.
+fn classify_subtree(
+    doc: &Document,
+    root: NodeId,
+    classes: &mut Classes,
+    classes_of: &mut [SynNodeId],
+    offset: usize,
+) -> Option<SynNodeId> {
+    let slot = |element: NodeId| element.index().checked_sub(offset);
+    for element in doc.subtree_post_order(root) {
+        let label = doc.label(element);
+        let class = if doc.is_leaf(element) {
+            classes.leaf(label)
+        } else {
+            for child in doc.children(element) {
+                classes.children.push(classes_of.get(slot(child)?)?.0);
+            }
+            classes.internal(label)
+        };
+        classes.add_to_extent(class);
+        *classes_of.get_mut(slot(element)?)? = class;
+    }
+    classes_of.get(slot(root)?).copied()
+}
+
+/// One side of the split: its class table and, for each spine element
+/// whose children it took, in the order it took them, those children's
+/// classes with their counts.
+struct Side {
+    classes: Classes,
+    /// Per class, its count among the children of the spine element
+    /// being taken; zero again once that element is closed.
     counts: Vec<u32>,
-    /// The classes with a nonzero count.
-    touched: Vec<u32>,
+    /// `(class, count)` pairs, back to back per closed spine element.
+    /// The element being taken has its classes here, in the order they
+    /// were first counted, with their counts filled in at its close.
+    pairs: Vec<(u32, u32)>,
+    /// Per closed spine element: where its pairs end, and how many
+    /// classes the side had then.
+    closes: Vec<(usize, usize)>,
 }
 
-impl SpineChildren {
-    /// Counts for `spine`, with room for `classes` classes.
-    fn new(spine: &[NodeId], classes: usize) -> Self {
-        SpineChildren {
-            pairs: vec![Vec::new(); spine.len()],
-            depth: 0,
+impl Side {
+    /// A side for a spine of `spine` elements, with room for `classes`
+    /// classes before any vector grows.
+    fn new(doc: &Document, spine: usize, classes: usize) -> Self {
+        Side {
+            classes: Classes::new(doc, classes),
             counts: Vec::with_capacity(classes),
-            touched: Vec::with_capacity(classes),
+            pairs: Vec::with_capacity(classes),
+            closes: Vec::with_capacity(spine),
         }
     }
 
-    /// Counts a child of class `class` of the spine element at `depth`.
-    fn count_child(&mut self, depth: usize, class: SynNodeId) {
-        if depth != self.depth {
-            self.set_aside();
-            self.depth = depth;
-        }
+    /// Classifies the subtree of `child`, a child of the spine element
+    /// being taken, and counts its class.
+    fn classify_child(
+        &mut self,
+        doc: &Document,
+        child: NodeId,
+        classes_of: &mut [SynNodeId],
+        offset: usize,
+    ) -> Option<()> {
+        let class = classify_subtree(doc, child, &mut self.classes, classes_of, offset)?;
         if self.counts.len() <= class.index() {
             self.counts.resize(class.index() + 1, 0);
         }
         let count = &mut self.counts[class.index()];
         if *count == 0 {
-            self.touched.push(class.0);
+            self.pairs.push((class.0, 0));
         }
         *count = count.saturating_add(1);
-    }
-
-    fn set_aside(&mut self) {
-        for &class in &self.touched {
-            let count = std::mem::take(&mut self.counts[class as usize]);
-            self.pairs[self.depth].push((class, count));
-        }
-        self.touched.clear();
-    }
-
-    /// The pairs per spine element, from the root in.
-    fn finish(mut self) -> Vec<Vec<(u32, u32)>> {
-        self.set_aside();
-        self.pairs
-    }
-}
-
-/// Walks the elements before the cut in post-order, all but the spine:
-/// the serial pass's first stretch, when ids are in document order.
-/// `classes_of` holds their classes.
-fn walk_before<'a>(
-    doc: &'a Document,
-    spine: &'a [NodeId],
-    cut: NodeId,
-    classes_of: &mut [SynNodeId],
-) -> Option<Walk<'a>> {
-    let mut walk = Walk::new(doc, spine, Vec::new(), 0, 0);
-    for id in 0..cut.0 {
-        walk.visit(NodeId(id), classes_of, false)?;
-    }
-    walk.visit(cut, classes_of, true)?;
-    // Left open: the spine, then the cut element, and no spine element
-    // closed before it.
-    let ordered = walk.marks.is_empty() && walk.open.split_last() == Some((&cut, spine));
-    ordered.then_some(walk)
-}
-
-/// Walks the elements from the cut on in post-order, with `walk`'s
-/// spine open at the start and closing on the way. `classes_of` holds
-/// their classes, the cut element's first.
-fn walk_after<'a>(mut walk: Walk<'a>, classes_of: &mut [SynNodeId]) -> Option<Walk<'a>> {
-    for id in walk.offset..walk.offset + classes_of.len() {
-        walk.visit(NodeId(u32::try_from(id).ok()?), classes_of, false)?;
-    }
-    walk.close_to(None, classes_of)?;
-    Some(walk)
-}
-
-/// One side of the cut, walked in id order. When ids are in document
-/// order, closing the open elements that are not the next element's
-/// parent visits the elements in post-order. Elements are classified
-/// into a table of the walk's own; the spine elements are not, but
-/// their children are counted, and so is each spine element's closing.
-struct Walk<'a> {
-    doc: &'a Document,
-    spine: &'a [NodeId],
-    /// Id of the first element the walk classifies (`classes_of[0]`).
-    offset: usize,
-    classes: Classes,
-    spine_children: SpineChildren,
-    /// Open elements, outermost first: at a depth below the spine's
-    /// length, a spine element is at its own depth.
-    open: Vec<NodeId>,
-    /// The number of classes seen when each spine element closed,
-    /// innermost first.
-    marks: Vec<usize>,
-}
-
-impl<'a> Walk<'a> {
-    /// A walk from id `offset` with `open` open, with room reserved for
-    /// `classes` classes.
-    fn new(
-        doc: &'a Document,
-        spine: &'a [NodeId],
-        mut open: Vec<NodeId>,
-        offset: usize,
-        classes: usize,
-    ) -> Self {
-        open.reserve(1 << 10);
-        Walk {
-            doc,
-            spine,
-            offset,
-            classes: Classes::new(doc, classes),
-            spine_children: SpineChildren::new(spine, classes),
-            open,
-            marks: Vec::with_capacity(spine.len()),
-        }
-    }
-
-    /// Takes element `id`: closes the open elements down to its parent,
-    /// then closes it at once if it is a leaf and not `last`, or opens
-    /// it. `None` when its parent is not open (ids out of document
-    /// order).
-    fn visit(&mut self, id: NodeId, classes_of: &mut [SynNodeId], last: bool) -> Option<()> {
-        let parent = self.doc.parent(id);
-        self.close_to(parent, classes_of)?;
-        if self.open.is_empty() != parent.is_none() {
-            return None;
-        }
-        if self.doc.is_leaf(id) && !last {
-            self.close(id, classes_of)
-        } else {
-            self.open.push(id);
-            Some(())
-        }
-    }
-
-    /// Closes open elements until `parent` is the innermost (all of
-    /// them for `None`).
-    fn close_to(&mut self, parent: Option<NodeId>, classes_of: &mut [SynNodeId]) -> Option<()> {
-        while let Some(&top) = self.open.last().filter(|&&top| Some(top) != parent) {
-            self.open.pop();
-            if self.spine.get(self.open.len()) == Some(&top) {
-                self.marks.push(self.classes.class_count());
-            } else {
-                self.close(top, classes_of)?;
-            }
-        }
         Some(())
     }
 
-    /// Classifies `element`, whose parent is the innermost open element.
-    fn close(&mut self, element: NodeId, classes_of: &mut [SynNodeId]) -> Option<()> {
-        let class = self
-            .classes
-            .close(self.doc, element, classes_of, self.offset)?;
-        let depth = self.open.len().wrapping_sub(1);
-        if self.spine.get(depth).is_some() && self.spine.get(depth) == self.open.last() {
-            self.spine_children.count_child(depth, class);
+    /// Closes the spine element being taken: its pairs get their counts.
+    fn close(&mut self) {
+        let start = self.closes.last().map_or(0, |&(end, _)| end);
+        for (class, count) in &mut self.pairs[start..] {
+            *count = std::mem::take(&mut self.counts[*class as usize]);
         }
-        Some(())
+        self.closes
+            .push((self.pairs.len(), self.classes.class_count()));
+    }
+
+    /// The pairs of the `closed`-th spine element closed.
+    fn children_of(&self, closed: usize) -> &[(u32, u32)] {
+        let start = closed.checked_sub(1).map_or(0, |i| self.closes[i].0);
+        &self.pairs[start..self.closes[closed].0]
     }
 }
 
@@ -538,8 +477,9 @@ impl<'a> Walk<'a> {
 /// them. A class's signature `[label, class₁, k₁, …]` is stored back to
 /// back with the others in `signatures`, so a new class allocates
 /// nothing but the growth of these vectors, and the `StableNode`s are
-/// built once at the end. A walk's worker gets its vectors reserved by
-/// the calling thread and so allocates next to nothing (DESIGN.md §15).
+/// built once at the end. The split's worker gets its vectors reserved
+/// by the calling thread and so allocates next to nothing (DESIGN.md
+/// §15).
 struct Classes {
     /// Signatures, back to back: class `i`'s ends at `ends[i]`.
     signatures: Vec<u32>,
@@ -590,35 +530,6 @@ impl Classes {
         &self.signatures[start..self.ends[class]]
     }
 
-    /// Classifies `element` as a walk closes it: `classes_of` holds the
-    /// classes of the elements from id `offset` on, and `None` means a
-    /// child outside it or not yet classified (ids out of document
-    /// order).
-    fn close(
-        &mut self,
-        doc: &Document,
-        element: NodeId,
-        classes_of: &mut [SynNodeId],
-        offset: usize,
-    ) -> Option<SynNodeId> {
-        let label = doc.label(element);
-        let class = if doc.is_leaf(element) {
-            self.leaf(label)
-        } else {
-            for child in doc.children(element) {
-                let class = *classes_of.get(child.index().checked_sub(offset)?)?;
-                if class == UNSEEN {
-                    return None;
-                }
-                self.children.push(class.0);
-            }
-            self.internal(label)
-        };
-        self.add_to_extent(class);
-        *classes_of.get_mut(element.index().checked_sub(offset)?)? = class;
-        Some(class)
-    }
-
     /// Counts one more element into `class`'s extent.
     #[inline]
     fn add_to_extent(&mut self, class: SynNodeId) {
@@ -646,15 +557,6 @@ impl Classes {
         }
         self.children.clear();
         self.intern()
-    }
-
-    /// The class of an element labeled `label` with `children` as
-    /// `(class, count)` pairs, a class possibly in several, new if
-    /// unseen; counts the element into its extent.
-    fn classify_counted(&mut self, label: LabelId, children: Vec<(u32, u32)>) -> SynNodeId {
-        let class = self.sign(label, children);
-        self.add_to_extent(class);
-        class
     }
 
     /// The class in this table of class `class` of `other`, whose
@@ -1056,6 +958,17 @@ mod differential_tests {
         let mut rng = StdRng::seed_from_u64(0x5B1D);
         let mut docs = vec![parse_document("<r><a/></r>").unwrap()];
         docs.extend((0..64).map(|_| random_ordered_document(&mut rng)));
+        // A deep spine: each level has a child before and after the next.
+        let mut b = DocumentBuilder::new("r");
+        for _ in 0..200 {
+            b.leaf("a");
+            b.open("b");
+        }
+        for _ in 0..200 {
+            b.close();
+            b.leaf("c");
+        }
+        docs.push(b.finish());
         for doc in &docs {
             for cut in 1..doc.len() {
                 let split = build_split(doc, cut).expect("document order takes the split");
@@ -1066,15 +979,26 @@ mod differential_tests {
     }
 
     #[test]
-    fn expand_output_takes_the_serial_path() {
-        // expand adds an element's children together, so its ids are not
-        // in document order once two siblings have children.
+    fn out_of_order_trees_split_where_each_side_holds_its_subtrees() {
+        // expand adds an element's children together, and random_document
+        // numbers them in frontier order, so a subtree's ids need not be
+        // one range: a cut splits only where every element a side
+        // classifies lies in that side's range, and then exactly.
         let source = parse_document("<r><a><b><c/></b><b/></a><a><b/><c/></a><c/></r>").unwrap();
-        let doc = crate::expand(&build_stable(&source));
-        assert_same(&doc);
-        for cut in 1..doc.len() {
-            assert!(build_split(&doc, cut).is_none(), "cut {cut}");
+        let mut docs = vec![crate::expand(&build_stable(&source))];
+        let mut rng = StdRng::seed_from_u64(0xF207);
+        docs.extend((0..64).map(|_| random_document(&mut rng)));
+        let mut splits = 0;
+        for doc in &docs {
+            assert_same(doc);
+            for cut in 1..doc.len() {
+                if let Some(split) = build_split(doc, cut) {
+                    assert_equal(&split, doc);
+                    splits += 1;
+                }
+            }
         }
+        assert!(splits > 0, "no cut split");
     }
 
     #[test]

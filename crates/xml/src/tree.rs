@@ -234,9 +234,16 @@ impl Document {
     /// Post-order traversal of the whole document. `BUILDSTABLE` (§4.1)
     /// visits elements in exactly this order.
     pub fn post_order(&self) -> PostOrder<'_> {
+        self.subtree_post_order(self.root())
+    }
+
+    /// Post-order traversal of the subtree rooted at `node` (inclusive),
+    /// which ends with `node`.
+    pub fn subtree_post_order(&self, node: NodeId) -> PostOrder<'_> {
         PostOrder {
             doc: self,
-            next: self.leftmost_leaf(self.root().0),
+            next: self.leftmost_leaf(node.0),
+            last: node.0,
         }
     }
 
@@ -333,15 +340,16 @@ impl Iterator for PreOrder<'_> {
     }
 }
 
-/// Post-order traversal (children before parents), walked along the
-/// tree's own links: down first-child links to a leaf, then on to the
-/// next sibling's leftmost leaf, or up to the parent when there is no
-/// next sibling. It keeps no stack, so it allocates nothing.
+/// Post-order traversal of a subtree (children before parents), walked
+/// along the tree's own links: down first-child links to a leaf, then on
+/// to the next sibling's leftmost leaf, or up to the parent when there is
+/// no next sibling. It keeps no stack, so it allocates nothing.
 pub struct PostOrder<'a> {
     doc: &'a Document,
-    /// The node `next` yields; `NONE` once the root (no sibling, no
-    /// parent) was yielded.
+    /// The node `next` yields; `NONE` once `last` was yielded.
     next: u32,
+    /// The subtree's root, yielded last.
+    last: u32,
 }
 
 impl Iterator for PostOrder<'_> {
@@ -351,7 +359,9 @@ impl Iterator for PostOrder<'_> {
     fn next(&mut self) -> Option<NodeId> {
         let node = self.next;
         let &[_, parent, _, _, next_sibling] = self.doc.nodes.get(node as usize)?;
-        self.next = if next_sibling == NONE {
+        self.next = if node == self.last {
+            NONE
+        } else if next_sibling == NONE {
             parent
         } else {
             self.doc.leftmost_leaf(next_sibling)
@@ -594,10 +604,15 @@ mod tests {
                 let mut expected = Vec::new();
                 pre(&doc, node, &mut expected);
                 assert_eq!(doc.subtree(node).collect::<Vec<_>>(), expected);
+                expected.clear();
+                post(&doc, node, &mut expected);
+                assert_eq!(doc.subtree_post_order(node).collect::<Vec<_>>(), expected);
             }
             let mut expected = Vec::new();
             post(&doc, doc.root(), &mut expected);
             assert_eq!(doc.post_order().collect::<Vec<_>>(), expected);
+            let root: Vec<_> = doc.subtree_post_order(doc.root()).collect();
+            assert_eq!(root, expected);
         }
     }
 
