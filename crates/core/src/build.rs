@@ -535,17 +535,6 @@ fn create_pool(
     best.into_sorted_vec().into_iter().map(|w| w.0).collect()
 }
 
-/// Public `CREATEPOOL` (Fig. 6) entry point for harnesses that drive the
-/// [`MergeQueue`] directly (the `merge_queue` criterion bench): generates
-/// the bounded candidate pool exactly as one TSBUILD round would.
-pub fn create_candidate_pool(
-    state: &ClusterState<'_>,
-    config: &BuildConfig,
-    scratch: &mut ScoreScratch,
-) -> Vec<MergeCandidate> {
-    create_pool(state, config, scratch, &mut Vec::new())
-}
-
 /// One level of Fig. 6 scoring on the claim loop: the calling thread
 /// (with `scratch`) and one worker per scratch in `workers` claim
 /// [`PAIRS_PER_CLAIM`] pairs at a time until the list is done, each

@@ -989,7 +989,7 @@ impl<'a> ClusterState<'a> {
 
     /// Reference recomputation of a cluster's stats via hash-map
     /// accumulation (the pre-merge-join implementation); proptest
-    /// oracle for [`Self::recompute_stats`]'s sort-and-coalesce rewrite.
+    /// oracle for `recompute_stats`'s sort-and-coalesce rewrite.
     pub fn recompute_stats_reference(&self, id: u32) -> Vec<(u32, EdgeStat)> {
         let mut acc: FxHashMap<u32, EdgeStat> = FxHashMap::default();
         for &s in &self.clusters[id as usize].members {

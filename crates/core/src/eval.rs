@@ -267,9 +267,8 @@ pub fn eval_query(
 
 /// [`eval_query`] with a value layer: steps carrying value predicates
 /// (`[. > c]`) are scaled by the endpoint cluster's value selectivity.
-/// Without a [`ValueIndex`] value predicates are ignored (the §4.3
-/// structural
-/// upper bound).
+/// Without a [`ValueIndex`](crate::values::ValueIndex) value predicates
+/// are ignored (the §4.3 structural upper bound).
 pub fn eval_query_with_values(
     sketch: &TreeSketch,
     query: &TwigQuery,
@@ -540,11 +539,13 @@ impl Walker<'_> {
         // `max_depth` filler edges per descendant step. On acyclic
         // synopses this never truncates (no downward path exceeds the
         // height); on compressed cyclic synopses it bounds the walk.
-        let budget: u32 = steps
+        // Summed in u64, because a loaded sketch's depths are the
+        // file's: at most MAX_PATTERN_STATES u32 terms cannot overflow.
+        let budget: u64 = steps
             .iter()
             .map(|s| match s.axis {
                 Axis::Child => 1,
-                Axis::Descendant => self.max_depth.max(1),
+                Axis::Descendant => u64::from(self.max_depth.max(1)),
             })
             .sum();
 

@@ -108,7 +108,11 @@ pub fn from_text(text: &str) -> Result<TreeSketch, SketchIoError> {
             }
             "nodes" => {
                 let n: u32 = num(&mut parts, line)?;
-                nodes.reserve(n as usize);
+                // The count is the file's claim: reserve no more nodes
+                // than the text holds shortest node lines, so an honest
+                // file still gets one allocation and a lying header no
+                // huge one.
+                nodes.reserve((n as usize).min(text.len() / "node 0 0 0 0".len()));
                 if parts.next() != Some("root") {
                     return Err(io_err("expected 'root'", line));
                 }
@@ -257,6 +261,17 @@ mod tests {
             &crate::eval::EvalConfig::default(),
         );
         assert_eq!(estimate, 3.0);
+        // A node depth at u32::MAX makes each descendant step's path
+        // budget u32::MAX; their sum must not overflow.
+        let deep = "treesketch v1\nlabels 1\nlabel 0 a\nnodes 2 root 0 sq 0\n\
+                    node 0 0 1 4294967295\nedge 0 1 1\nnode 1 0 1 0\n";
+        let query = axqa_query::parse_twig("q1: q0 //a//a").unwrap();
+        let estimate = crate::selectivity::try_estimate_query_selectivity(
+            &load_sketch(deep).unwrap(),
+            &query,
+            &crate::eval::EvalConfig::default(),
+        );
+        assert!(estimate.is_ok(), "{estimate:?}");
     }
 
     #[test]
@@ -268,5 +283,10 @@ mod tests {
             from_text("treesketch v1\nlabel 0 a\nnodes 1 root 5 sq 0\nnode 0 0 1 0\n").is_err()
         );
         assert!(from_text("treesketch v1\nwhatever\n").is_err());
+        // The header promises 2^32 - 1 nodes and no node line follows.
+        assert!(
+            load_sketch("treesketch v1\nlabels 1\nlabel 0 a\nnodes 4294967295 root 0 sq 0\n")
+                .is_err()
+        );
     }
 }

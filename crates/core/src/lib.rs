@@ -65,9 +65,7 @@ pub mod sketch;
 pub mod topdown;
 pub mod values;
 
-pub use build::{
-    create_candidate_pool, try_ts_build, ts_build, ts_build_eager, BuildConfig, BuildReport,
-};
+pub use build::{try_ts_build, ts_build, ts_build_eager, BuildConfig, BuildReport};
 pub use cluster::{ClusterState, ScoreScratch};
 pub use error::AxqaError;
 pub use eval::{

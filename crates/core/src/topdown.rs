@@ -3,7 +3,7 @@
 //! The paper argues for bottom-up agglomeration over the top-down
 //! expansion used by the XSKETCH line of work, citing better quality at
 //! similar cost. This module implements the top-down alternative so the
-//! claim can be measured (`bench/ablation_topdown.rs`): start from the
+//! claim can be measured (`harness ablation`): start from the
 //! label-split graph (one cluster per tag) and repeatedly split the
 //! cluster direction with the largest squared-error contribution,
 //! separating members below/above the median child count, while the

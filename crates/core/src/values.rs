@@ -1,6 +1,6 @@
 //! Value summaries: the paper's declared future-work extension (§1
 //! scopes value content out of the core study; the XSKETCH line's
-//! "structure and value synopses" [16] is the cited antecedent).
+//! "structure and value synopses" \[16\] is the cited antecedent).
 //!
 //! A [`ValueIndex`] attaches to each TreeSketch cluster an equi-depth
 //! summary of the numeric values carried by the cluster's elements:

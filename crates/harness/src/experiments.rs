@@ -10,7 +10,7 @@ use axqa_core::{
 };
 use axqa_datagen::workload::{negative_workload, positive_workload, WorkloadConfig};
 use axqa_datagen::Dataset;
-use axqa_distance::{esd_summaries, EsdConfig, WeightedSummary};
+use axqa_distance::{esd_documents, esd_summaries, EsdConfig, SetDistance, WeightedSummary};
 use axqa_eval::selectivity as exact_selectivity;
 use axqa_obs::Stopwatch;
 use axqa_synopsis::size::kb;
@@ -22,6 +22,7 @@ use axqa_xsketch::estimate::{xs_estimate_selectivity, XsEvalConfig};
 use axqa_xsketch::XSketch;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::time::Duration;
 
 /// Experiment-level configuration.
 #[derive(Debug, Clone)]
@@ -563,35 +564,132 @@ pub fn negative(config: &ExperimentConfig) -> Table {
 }
 
 // ---------------------------------------------------------------------
-// Ablation — bottom-up vs top-down construction (§4.2 claim)
+// Ablations — the §4.2 construction choices and the ESD set distance
 // ---------------------------------------------------------------------
 
-/// Squared error of bottom-up TSBUILD vs the top-down splitter at equal
-/// budgets.
-pub fn ablation_topdown(config: &ExperimentConfig) -> Table {
-    let _span = axqa_obs::span("experiment.ablation_topdown");
-    let mut table = Table::new(
+/// The ablations, one table each:
+///
+/// * bottom-up TSBUILD against the top-down splitter at equal budgets
+///   (§4.2 argues bottom-up wins), with both build times;
+/// * squared error and build time of TSBUILD under four CREATEPOOL
+///   settings: the defaults, all-pairs candidates in every
+///   `(label, depth)` group, and the paper's `Uh`/`Lh` pool bounds
+///   (10,000/100) lowered to 1,000/10 and raised to 50,000/500;
+/// * ESD and its time under the greedy set distance and under exact
+///   EMD, between two IMDB documents of 10,000 and 6,000 elements.
+pub fn ablation(config: &ExperimentConfig) -> Vec<Table> {
+    let _span = axqa_obs::span("experiment.ablation");
+    let mut topdown = Table::new(
         "Ablation: bottom-up (TSBUILD) vs top-down squared error",
-        &["Data Set", "Budget", "Bottom-up sq", "Top-down sq"],
+        &[
+            "Data Set",
+            "Budget",
+            "Bottom-up sq",
+            "Top-down sq",
+            "Bottom-up time",
+            "Top-down time",
+        ],
     );
+    let mut pool = Table::new(
+        "Ablation: CREATEPOOL settings, squared error and build time",
+        &[
+            "Data Set",
+            "Budget",
+            "Default sq",
+            "All-pairs sq",
+            "Uh 1000/Lh 10 sq",
+            "Uh 50000/Lh 500 sq",
+            "Default time",
+            "All-pairs time",
+            "Uh 1000/Lh 10 time",
+            "Uh 50000/Lh 500 time",
+        ],
+    );
+    // The builds read only the stable summary: no workload.
+    let pipeline = PipelineConfig {
+        queries: 0,
+        need_nesting: false,
+        ..config.pipeline.clone()
+    };
     for dataset in TX_DATASETS {
-        let prepared = Prepared::new(dataset, false, &config.pipeline);
+        let stable = Prepared::new(dataset, false, &pipeline).stable;
         for &budget_kb in &config.budgets_kb {
-            let bottom = ts_build(&prepared.stable, &BuildConfig::with_budget(kb(budget_kb)));
-            let top = axqa_core::topdown_build(
-                &prepared.stable,
-                &BuildConfig::with_budget(kb(budget_kb)),
-            );
-            table.row(vec![
-                format!("{}-TX", dataset.name()),
-                format!("{budget_kb}KB"),
-                fmt_f(bottom.squared_error),
+            let default = BuildConfig {
+                threads: config.pipeline.threads,
+                ..BuildConfig::with_budget(kb(budget_kb))
+            };
+            let (top, top_time) = timed(|| axqa_core::topdown_build(&stable, &default));
+            let settings = [
+                default.clone(),
+                BuildConfig {
+                    group_all_pairs_cap: usize::MAX,
+                    ..default.clone()
+                },
+                BuildConfig {
+                    heap_upper: 1_000,
+                    heap_lower: 10,
+                    ..default.clone()
+                },
+                BuildConfig {
+                    heap_upper: 50_000,
+                    heap_lower: 500,
+                    ..default
+                },
+            ];
+            let builds: Vec<(f64, Duration)> = settings
+                .iter()
+                .map(|setting| {
+                    let (report, time) = timed(|| ts_build(&stable, setting));
+                    (report.squared_error, time)
+                })
+                .collect();
+            let name = format!("{}-TX", dataset.name());
+            let budget = format!("{budget_kb}KB");
+            let (bottom_sq, bottom_time) = builds[0];
+            topdown.row(vec![
+                name.clone(),
+                budget.clone(),
+                fmt_f(bottom_sq),
                 fmt_f(top.squared_error()),
+                fmt_secs(bottom_time),
+                fmt_secs(top_time),
             ]);
+            let mut cells = vec![name, budget];
+            cells.extend(builds.iter().map(|&(sq, _)| fmt_f(sq)));
+            cells.extend(builds.iter().map(|&(_, time)| fmt_secs(time)));
+            pool.row(cells);
         }
     }
-    config.save(&mut table, "ablation_topdown");
-    table
+    config.save(&mut topdown, "ablation_topdown");
+    config.save(&mut pool, "ablation_pool");
+
+    let imdb = |elements| {
+        axqa_datagen::generate(
+            Dataset::Imdb,
+            &axqa_datagen::GenConfig {
+                target_elements: elements,
+                seed: config.pipeline.seed,
+            },
+        )
+    };
+    let (a, b) = (imdb(10_000), imdb(6_000));
+    let mut setdist = Table::new(
+        format!(
+            "Ablation: ESD set distance, IMDB {} vs {} elements",
+            a.len(),
+            b.len()
+        ),
+        &["Set distance", "ESD", "Time"],
+    );
+    for (name, set_distance) in [
+        ("GreedyMac", SetDistance::GreedyMac { exponent: 2.0 }),
+        ("EMD", SetDistance::Emd { exponent: 2.0 }),
+    ] {
+        let (esd, time) = timed(|| esd_documents(&a, &b, &EsdConfig { set_distance }));
+        setdist.row(vec![name.to_string(), fmt_f(esd), fmt_secs(time)]);
+    }
+    config.save(&mut setdist, "ablation_setdist");
+    vec![topdown, pool, setdist]
 }
 
 // ---------------------------------------------------------------------
@@ -745,6 +843,13 @@ pub fn family(config: &ExperimentConfig) -> Table {
 // ---------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------
+
+/// Runs `f` once and returns its result with its wall time.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, Duration) {
+    let start = Stopwatch::start();
+    let value = f();
+    (value, start.elapsed())
+}
 
 fn mean(values: &[f64]) -> f64 {
     if values.is_empty() {

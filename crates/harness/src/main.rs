@@ -9,7 +9,8 @@
 //!
 //! commands:
 //!   table1 | table2 | table3 | fig11 | fig12 | fig13 | negative
-//!   ablation            bottom-up vs top-down construction
+//!   ablation            bottom-up vs top-down construction, CREATEPOOL
+//!                       settings, and the ESD set distance
 //!   family              §3.1 synopsis-family sizes (A(k), 1-index, stable)
 //!   values              value-predicate estimation (extension)
 //!   all                 every experiment in order
@@ -43,7 +44,7 @@
 //! (banned in clippy.toml — destructors must run).
 
 use axqa_harness::experiments::{
-    ablation_topdown, family, fig11, fig12, fig13, negative, table1, table2, table3, values,
+    ablation, family, fig11, fig12, fig13, negative, table1, table2, table3, values,
     ExperimentConfig,
 };
 use axqa_harness::PipelineConfig;
@@ -106,7 +107,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         "fig12" => print_many(fig12(&config)),
         "fig13" => print_one(fig13(&config)),
         "negative" => print_one(negative(&config)),
-        "ablation" => print_one(ablation_topdown(&config)),
+        "ablation" => print_many(ablation(&config)),
         "family" => print_one(family(&config)),
         "values" => print_one(values(&config)),
         "all" => {
@@ -119,7 +120,7 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
             print_one(negative(&config));
             print_one(family(&config));
             print_one(values(&config));
-            print_one(ablation_topdown(&config));
+            print_many(ablation(&config));
         }
         other => return Err(format!("unknown command {other}\n{USAGE}")),
     }

@@ -16,7 +16,7 @@
 //! macro opacity, and generic std-trait dispatch into a higher crate's
 //! impl, which the pruning cuts).
 //!
-//! [`reaching`] is the backward worklist fixpoint over these edges that
+//! `reaching` is the backward worklist fixpoint over these edges that
 //! both the panic ([`crate::reach`]) and the allocation
 //! ([`crate::hotpath`]) analyses run.
 //!

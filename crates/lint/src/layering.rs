@@ -27,7 +27,6 @@ pub const LAYERS: &[(&str, u32)] = &[
     ("axqa-xsketch", 3),  // twig-XSketch baseline
     ("axqa-datagen", 3),  // dataset + workload generators
     ("axqa-distance", 4), // ESD/tree-edit metrics (compare synopses)
-    ("axqa-bench", 5),    // criterion benches over everything below
     ("axqa-harness", 5),  // experiment harness
     ("axqa-cli", 5),      // command-line front end
     ("axqa", 6),          // umbrella re-export package (repo tests/)

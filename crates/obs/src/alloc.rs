@@ -4,8 +4,8 @@
 //! deltas to the innermost open span — the *dynamic* counterpart of the
 //! static `hot-path-alloc` reachability analysis (DESIGN.md §11).
 //!
-//! Install it once per binary (harness, xtask, benches, the runtime
-//! allocation tests):
+//! Install it once per binary (harness, xtask, the end-to-end
+//! benchmark, the runtime allocation tests):
 //!
 //! ```ignore
 //! #[global_allocator]

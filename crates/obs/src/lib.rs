@@ -14,10 +14,10 @@
 //!
 //! Instrumentation sites call the free functions [`span`], [`counter`]
 //! and [`observe`]. When no recorder is installed each call compiles to
-//! a single branch on a relaxed atomic load and returns immediately —
-//! the disabled-overhead smoke bench (`crates/bench/benches/
-//! obs_overhead.rs`) asserts this stays within noise of uninstrumented
-//! code. When a recorder is installed, events accumulate in per-thread
+//! a single branch on a relaxed atomic load and returns immediately;
+//! the end-to-end benchmark's untraced runs take this path, and its
+//! `trace.overhead_pct` prices an installed recorder against them.
+//! When a recorder is installed, events accumulate in per-thread
 //! buffers (no contention on the hot path) and merge into the shared
 //! recorder when a top-level span closes, a buffer fills, or a thread
 //! exits; [`Recorder::drain`] collects the merged totals.

@@ -53,6 +53,14 @@ fn err(message: impl Into<String>, offset: usize) -> QueryParseError {
     }
 }
 
+/// Deepest predicate nesting a path may have. The parser and every
+/// walk over a parsed path recurse once per level, so unbounded
+/// nesting would let a few hundred kilobytes of `[` overflow the
+/// stack. The workload generator nests predicates one level deep
+/// (`maybe_add_predicate` in axqa-datagen), so the cap sits far above
+/// any query it makes.
+const MAX_PREDICATE_DEPTH: usize = 64;
+
 struct Cursor<'a> {
     input: &'a str,
     pos: usize,
@@ -132,9 +140,13 @@ impl<'a> Cursor<'a> {
         Ok(ValuePred { op, constant })
     }
 
-    /// Parses a path; `leading_axis_required` is false inside predicates,
-    /// where `[b/c]` means `[/b/c]`.
-    fn path(&mut self, leading_axis_required: bool) -> Result<PathExpr, QueryParseError> {
+    /// Parses a path nested `depth` predicates deep; `leading_axis_required`
+    /// is false inside predicates, where `[b/c]` means `[/b/c]`.
+    fn path(
+        &mut self,
+        leading_axis_required: bool,
+        depth: usize,
+    ) -> Result<PathExpr, QueryParseError> {
         let mut steps = Vec::new();
         loop {
             let axis = if self.eat("//") {
@@ -148,7 +160,11 @@ impl<'a> Cursor<'a> {
             };
             let label = self.name()?;
             let mut step = Step::new(axis, label);
-            while self.eat("[") {
+            loop {
+                let open = self.pos;
+                if !self.eat("[") {
+                    break;
+                }
                 self.skip_spaces();
                 if self.eat(".") {
                     let pred = self.value_pred()?;
@@ -158,7 +174,13 @@ impl<'a> Cursor<'a> {
                     }
                     step.value_preds.push(pred);
                 } else {
-                    let predicate = self.path(false)?;
+                    if depth == MAX_PREDICATE_DEPTH {
+                        return Err(err(
+                            format!("predicates nested deeper than {MAX_PREDICATE_DEPTH} levels"),
+                            open,
+                        ));
+                    }
+                    let predicate = self.path(false, depth + 1)?;
                     if !self.eat("]") {
                         return Err(err("expected ']'", self.pos));
                     }
@@ -177,7 +199,7 @@ pub fn parse_path(input: &str) -> Result<PathExpr, QueryParseError> {
         input: input.trim(),
         pos: 0,
     };
-    let path = cursor.path(true)?;
+    let path = cursor.path(true, 0)?;
     if cursor.peek().is_some() {
         return Err(err(
             format!("trailing input: {:?}", cursor.rest()),
@@ -409,6 +431,11 @@ mod fuzz_tests {
             let _ = parse_path(input);
             let _ = parse_twig(input);
         }
+        // Nesting deep enough to overflow a recursive parser's stack,
+        // rejected at the first `[` past the cap (byte 2 + 2 * 64).
+        let deep = format!("/a{}{}", "[a".repeat(100_000), "]".repeat(100_000));
+        assert_eq!(parse_path(&deep).unwrap_err().offset, 130);
+        assert!(parse_twig(&format!("q1: q0 {deep}")).is_err());
     }
 
     #[test]
@@ -416,6 +443,8 @@ mod fuzz_tests {
         let deep = "//a[b[c[d[e[f[g]]]]]]";
         let p = parse_path(deep).unwrap();
         assert_eq!(p.total_steps(), 7);
+        let deepest = format!("/a{}{}", "[a".repeat(64), "]".repeat(64));
+        assert_eq!(parse_path(&deepest).unwrap().total_steps(), 65);
     }
 
     #[test]

@@ -38,8 +38,9 @@
 //!   by the linear-time post-order [`build_stable`] (the paper's
 //!   `BUILDSTABLE`, Fig. 4), together with the element → class
 //!   assignment.
-//! * [`expand`] — the `Expand` function of Lemma 3.1, materializing an
-//!   XML tree isomorphic (as an unordered tree) to the original document.
+//! * [`expand`](fn@expand) — the `Expand` function of Lemma 3.1,
+//!   materializing an XML tree isomorphic (as an unordered tree) to the
+//!   original document.
 //! * [`SizeModel`] — the byte-accounting model used for all synopsis
 //!   space budgets (the paper states budgets in KB without a layout; see
 //!   DESIGN.md §4.1).

@@ -24,9 +24,10 @@
 //!   dense integer ids so that all downstream algorithms work on `u32`s.
 //! * [`Document`] / [`NodeId`] — an arena-allocated tree with O(1) child
 //!   append, parent links, and allocation-free traversal iterators.
-//! * [`parse`] / [`write`] — a minimal well-formed-subset XML parser and
-//!   writer (elements, the five predefined entities; comments, PIs and
-//!   CDATA are tolerated and skipped; text content carries no structure).
+//! * [`parse`] / [`write`](mod@write) — a minimal well-formed-subset XML
+//!   parser and writer (elements, the five predefined entities; comments,
+//!   PIs and CDATA are tolerated and skipped; text content carries no
+//!   structure).
 //! * [`stats`] — document statistics used by the experiment harness.
 //! * [`threads`] — the workspace's one way to start threads: scoped
 //!   jobs beside the calling thread, with refused threads reported
